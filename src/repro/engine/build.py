@@ -139,6 +139,16 @@ def load_kernel() -> ctypes.CDLL:
         lib.repro_run_span.argtypes = [ctypes.c_void_p]
         lib.repro_warm_sweep.restype = ctypes.c_int64
         lib.repro_warm_sweep.argtypes = [ctypes.c_void_p]
+        # trace synthesis (repro.workloads.trace)
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.repro_category_sequence.restype = None
+        lib.repro_category_sequence.argtypes = [
+            ptr, ptr, i64, i64, i64, ptr, ptr,
+        ]
+        lib.repro_resolve_draws.restype = i64
+        lib.repro_resolve_draws.argtypes = [
+            ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr,
+        ]
         _kernel = lib
         return lib
     except Exception as exc:  # remember: probing repeatedly is cheap

@@ -426,14 +426,53 @@ class _Marshal:
         ctx.evbuf = _addr(self._evbuf)
         ctx.evbuf_cap = _EVBUF_TRIPLES
 
-        # ---- prewarm sweep -------------------------------------------
+        # ---- warm sweep (filled per call by warm()) -------------------
         self._warm_tbl = _qzeros(n)
         self._warm_len = _qzeros(n)
-        for ci, core in enumerate(sim.cores):
-            self._warm_tbl[ci] = _addr(core.warm_lines)
-            self._warm_len[ci] = len(core.warm_lines)
         ctx.warm_lines = _addr(self._warm_tbl)
         ctx.warm_len = _addr(self._warm_len)
+
+    # ------------------------------------------------------------------
+    def warm(self, cores) -> None:
+        """``CMPSimulator._prewarm`` in C: one span_in/span_out around
+        the interleaved sweep of ``cores`` (those present at run start,
+        or one late arrival).  A line whose access would complete a
+        takeover vector — possible when a core arrives mid-takeover —
+        is warmed through the Python path, and the sweep resumes after
+        it.
+        """
+        sim = self.sim
+        ctx = self.ctx
+        ctx_ptr = ctypes.addressof(ctx)
+        warm_sweep = self.lib.repro_warm_sweep
+        warm_len = self._warm_len
+        for ci in range(self.n):
+            warm_len[ci] = 0
+        for core in cores:
+            # read per call: a PHASE event may have swapped the trace
+            self._warm_tbl[core.core_id] = _addr(core.warm_lines)
+            warm_len[core.core_id] = len(core.warm_lines)
+        ctx.warm_round = 0
+        ctx.warm_core = 0
+        while True:
+            self.span_in(0, 0, False)
+            status = warm_sweep(ctx_ptr)
+            self.span_out()
+            if status == ST_DONE:
+                return
+            if status == ST_NEED_PYTHON_REF:
+                core = sim.cores[ctx.bail_core]
+                sim._warm_access(
+                    core, core.warm_lines[ctx.warm_round],
+                    sim._l1_mask, sim._l1_shift,
+                    sim._l1_hit_cost(core.core_id),
+                    sim.hierarchy.l1_hits, sim._l1_miss,
+                )
+                ctx.warm_core += 1
+            elif status != ST_EVBUF_FULL:
+                raise RuntimeError(
+                    f"compiled warm sweep returned status {status}"
+                )
 
     # ------------------------------------------------------------------
     def span_in(self, boundary: int, unfinished: int,
@@ -883,14 +922,9 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
     withdrawal, power gating), so the whole reference — including the
     mid-reference restructure — runs through the reference loop's
     scalar body.  Mirrors ``CMPSimulator._run_python``'s per-reference
-    section verbatim.
+    section, with the miss path through ``CMPSimulator._l1_miss``.
     """
-    from repro.cache.cache_set import NO_TAG
-
     now = core.time
-    l1_mask = sim._l1_mask
-    l1_shift = sim._l1_shift
-    policy_access = sim._policy_access
     dvfs = sim.dvfs
 
     position = core.position
@@ -900,15 +934,13 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
     if dvfs is None:
         issue_time = now + (gap >> issue_shift)
         hit_latency = sim.hierarchy.l1_latency
-        miss_base = sim._miss_latency
     else:
         entry = dvfs.entries[core.core_id]
         issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
         hit_latency = entry[2]
-        miss_base = entry[3]
 
-    set_index = address & l1_mask
-    tag = address >> l1_shift
+    set_index = address & sim._l1_mask
+    tag = address >> sim._l1_shift
     cset = core.l1_sets[set_index]
     way = cset.tag_map.get(tag, -1)
     if way >= 0:
@@ -919,43 +951,9 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
         sim.hierarchy.l1_hits[core.core_id] += 1
         core.time = issue_time + hit_latency
     else:
-        core_id = core.core_id
-        sim._l1_misses[core_id] += 1
-        memory_latency = policy_access(core_id, address, False, issue_time)
-        tags = cset.tags
-        victim_way = -1
-        if cset.valid_count != cset.ways:
-            for candidate in range(cset.ways):
-                if tags[candidate] == NO_TAG:
-                    victim_way = candidate
-                    break
-        if victim_way < 0:
-            stamp = cset.stamp
-            victim_way = stamp.index(min(stamp))
-        old_tag = tags[victim_way]
-        tag_map = cset.tag_map
-        evicted_dirty = 0
-        if old_tag != NO_TAG:
-            evicted_dirty = cset.dirty[victim_way]
-            if tag_map.get(old_tag) == victim_way:
-                del tag_map[old_tag]
-        else:
-            cset.valid_count += 1
-            sim.hierarchy.l1[core_id].core_occupancy[core_id] += 1
-        tags[victim_way] = tag
-        tag_map[tag] = victim_way
-        cset.dirty[victim_way] = 1 if is_write else 0
-        cset.owner[victim_way] = core_id
-        cset.stamp[victim_way] = cset.clock
-        cset.clock += 1
-        if evicted_dirty:
-            sim._l1_writebacks[core_id] += 1
-            policy_access(
-                core_id, (old_tag << l1_shift) | set_index, True, issue_time
-            )
-        core.time = issue_time + miss_base + memory_latency
-        if dvfs is not None:
-            dvfs.stall[core_id] += sim.config.l2_latency + memory_latency
+        core.time = issue_time + sim._l1_miss(
+            core.core_id, address, is_write, issue_time, cset, set_index, tag
+        )
     core.instructions += gap + 1
     position += 1
     core.position = 0 if position == core.length else position
@@ -1000,31 +998,10 @@ def run_compiled(sim):
     ctx = marshal.ctx
     ctx_ptr = ctypes.addressof(ctx)
     run_span = lib.repro_run_span
-    warm_sweep = lib.repro_warm_sweep
-
-    def warm() -> None:
-        # The C replica of _prewarm.  A takeover engine mid-flight at
-        # run start cannot happen (decisions only fire at epochs), but
-        # guard anyway: the kernel's warm path has no completion bail.
-        if kind == KIND_COOP and sim.policy.engine.active:
-            sim._prewarm()
-            return
-        ctx.warm_round = 0
-        ctx.warm_core = 0
-        while True:
-            marshal.span_in(0, 0, False)
-            status = warm_sweep(ctx_ptr)
-            marshal.span_out()
-            if status == ST_DONE:
-                return
-            if status != ST_EVBUF_FULL:
-                raise RuntimeError(
-                    f"compiled warm sweep returned status {status}"
-                )
 
     (
         target, warmup, warmed_up, unfinished, next_epoch, _initial,
-    ) = sim._begin_run(prewarm=warm)
+    ) = sim._begin_run(warm=marshal.warm)
     ctx.target = target
     ctx.warmup = warmup
     events = sim._pending_events

@@ -18,6 +18,10 @@
  *   - the DVFS timing rows and per-core stall accumulators;
  *   - the warmup / measurement-window bookkeeping per core.
  *
+ * `repro_warm_sweep` replays the cache-warming traffic (run start and
+ * late arrivals) through the same access path, and the two functions
+ * at the end of the file are generate_trace's sequential loops.
+ *
  * Anything boundary-side (partitioning decisions, scenario events,
  * governor moves, warmup reset) and anything that restructures policy
  * state (a takeover vector completing) bails out to Python with a
@@ -848,11 +852,16 @@ i64 repro_run_span(Ctx *c)
     }
 }
 
-/* CMPSimulator._prewarm(): pre-touch each core's resident working set
- * through the real L1/LLC access path, one line per core per round
- * (the Python sweep's interleave).  No windows or reference counting
- * — warm traffic only ages the caches and advances core time.
- * Resumes from (warm_round, warm_core) after an ST_EVBUF_FULL bail. */
+/* CMPSimulator._prewarm(): pre-touch the resident working set of
+ * every core with a nonzero warm_len through the real L1/LLC access
+ * path, one line per core per round (the Python sweep's interleave; a
+ * single late arrival is the one-core case).  No windows
+ * or reference counting — warm traffic only ages the caches and
+ * advances core time.  A line whose L1 miss would complete a takeover
+ * vector bails with ST_NEED_PYTHON_REF before touching any state, like
+ * repro_run_span; the caller warms that line in Python and resumes
+ * from (warm_round, warm_core + 1).  An ST_EVBUF_FULL bail resumes
+ * from (warm_round, warm_core). */
 i64 repro_warm_sweep(Ctx *c)
 {
     if (c->canary != CANARY)
@@ -892,6 +901,13 @@ i64 repro_warm_sweep(Ctx *c)
                     (c->has_dvfs ? c->dvfs_entries[ci * 4 + 2]
                                  : c->l1_latency);
                 continue;
+            }
+            if (c->engine_active &&
+                coop_would_complete(c, ci, addr, sidx, lset)) {
+                c->warm_round = r;
+                c->warm_core = ci;
+                c->bail_core = ci;
+                return ST_NEED_PYTHON_REF;
             }
             c->l1_misses[ci]++;
             i64 mem_lat = llc_access(c, ci, addr, 0, now);
@@ -946,4 +962,88 @@ i64 repro_warm_sweep(Ctx *c)
         c->warm_core = 0;
     }
     return ST_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Trace synthesis (repro.workloads.trace).  The two inherently
+ * sequential loops of generate_trace; the Mersenne Twister words come
+ * from Python's Random.randbytes and everything vectorizable stays in
+ * numpy.  Only integer arithmetic and floating-point add/compare are
+ * used, so the output is bit-identical to the Python loops whatever
+ * the compiler's FP-contraction setting. */
+
+/* _category_sequence(): smooth weighted round-robin over the categories
+ * (hot, rings..., stream), phase by phase.  `weights` holds n_phases
+ * rows of n_categories (n_phases >= 1); `credits` is n_categories of
+ * zeroed scratch. */
+void repro_category_sequence(const i64 *durations, const double *weights,
+                             i64 n_phases, i64 n_categories, i64 n_refs,
+                             double *credits, i64 *out)
+{
+    i64 phase = 0;
+    i64 left = durations[0];
+    const double *w = weights;
+    for (i64 i = 0; i < n_refs; i++) {
+        if (left <= 0) {
+            phase = (phase + 1) % n_phases;
+            left = durations[phase];
+            w = weights + phase * n_categories;
+        }
+        left--;
+        i64 best = 0;
+        double best_credit = credits[0] + w[0];
+        credits[0] = best_credit;
+        for (i64 k = 1; k < n_categories; k++) {
+            double credit = credits[k] + w[k];
+            credits[k] = credit;
+            if (credit > best_credit) {
+                best = k;
+                best_credit = credit;
+            }
+        }
+        credits[best] -= 1.0;
+        out[i] = best;
+    }
+}
+
+/* _fill_columns_numpy()'s draw resolution: each reference whose
+ * category has a nonzero modulus takes a rejection-sampled index draw
+ * (randrange: one word >> shift per attempt) starting at word
+ * 4 * i + extra, extra counting the draw words consumed so far.
+ * cursor = {next reference, extra} persists across calls.  Returns 0
+ * once every draw is resolved, or the index of the first word past
+ * `available` that a draw needs: the caller grows the word stream and
+ * calls again to resume. */
+i64 repro_resolve_draws(const i64 *categories, i64 n_refs,
+                        const i64 *moduli, const i64 *shifts,
+                        const uint32_t *words, i64 available,
+                        i64 *draw_words, i64 *draw_values, i64 *cursor)
+{
+    i64 extra = cursor[1];
+    for (i64 i = cursor[0]; i < n_refs; i++) {
+        i64 category = categories[i];
+        i64 modulus = moduli[category];
+        if (!modulus)
+            continue;
+        i64 start = 4 * i + extra;
+        i64 pos = start;
+        i64 value;
+        for (;;) {
+            if (pos >= available) {
+                cursor[0] = i;
+                cursor[1] = extra;
+                return pos;
+            }
+            value = (i64)(words[pos] >> shifts[category]);
+            if (value < modulus)
+                break;
+            pos++;
+        }
+        draw_words[i] = pos + 1 - start;
+        draw_values[i] = value;
+        extra += pos + 1 - start;
+    }
+    cursor[0] = n_refs;
+    cursor[1] = extra;
+    return 0;
 }

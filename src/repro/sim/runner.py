@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.experiment import Experiment
 from repro.metrics.speedup import weighted_speedup
+from repro.obs.trace import recorder as obs_recorder
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import CMPSimulator
 from repro.sim.stats import RunResult
@@ -108,6 +109,13 @@ class ExperimentRunner:
         key = (benchmark, config.l2, config.l1, config.refs_per_core, config.seed)
         trace = self._traces.get(key)
         if trace is None:
+            # Traced runs show trace synthesis as its own layer rather
+            # than folded into the first task that needs the trace.
+            rec = obs_recorder()
+            token = rec.begin(
+                "generate_trace", cat="trace", benchmark=benchmark,
+                refs=config.refs_per_core,
+            )
             trace = generate_trace(
                 profile_for(benchmark),
                 config.l2,
@@ -115,6 +123,7 @@ class ExperimentRunner:
                 config.refs_per_core,
                 seed=config.seed,
             )
+            rec.end(token)
             self._traces[key] = trace
         return trace
 
@@ -135,8 +144,6 @@ class ExperimentRunner:
         result = self.cached(experiment)
         if result is not None:
             return result
-        from repro.obs.trace import recorder as obs_recorder
-
         rec = obs_recorder()
         if rec.enabled:
             mark = rec.mark()

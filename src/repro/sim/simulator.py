@@ -139,6 +139,8 @@ class CMPSimulator:
         )
         self._measuring = False
         self._warmup = 0
+        #: the run's cache-warming routine (see :meth:`_begin_run`)
+        self._warm: Callable[[list[CoreState]], None] | None = None
         #: engine-invariant run diagnostics (populated only when the
         #: trace recorder is live; stays empty — and unserialized — by
         #: default so golden fixtures are untouched)
@@ -312,17 +314,19 @@ class CMPSimulator:
 
     # ------------------------------------------------------------------
     def _begin_run(
-        self, prewarm: Callable[[], None] | None = None
+        self, warm: Callable[[list[CoreState]], None] | None = None
     ) -> tuple[int, int, bool, int, int, list[CoreState]]:
         """Shared run prologue: warmup windows, prewarm, first epoch.
 
         Returns ``(target, warmup, warmed_up, unfinished, next_epoch,
         initial)``.  Every engine starts a run through here so the
-        measurement protocol is defined exactly once.  ``prewarm``
+        measurement protocol is defined exactly once.  ``warm``
         substitutes an engine's own cache-warming implementation (the
-        compiled kernel warms in C); it must be traffic-equivalent to
+        compiled kernel warms in C) for the cores present at cycle 0
+        and for every late arrival; it must be traffic-equivalent to
         :meth:`_prewarm`.
         """
+        warm = self._warm = warm or self._prewarm
         config = self.config
         cores = self.cores
         target = config.refs_per_core
@@ -343,7 +347,7 @@ class CMPSimulator:
             1 for arrival in self._arrival_events if arrival is not None
         )
 
-        (prewarm or self._prewarm)()
+        warm(initial)
         # The first epoch starts after the warming traffic has drained
         # so the catch-up logic does not fire several decisions back to
         # back on sparse monitor data.
@@ -477,6 +481,9 @@ class CMPSimulator:
                 self._record_sample(stamp, labels)
             if stamp > end_cycle:
                 end_cycle = stamp
+        # The warm routine references this simulator (and an engine's
+        # per-run state): drop the reference cycle with the run.
+        self._warm = None
         if dvfs is not None:
             dvfs.charge_to(end_cycle, cores, self.energy)
         self.energy.finalize(end_cycle)
@@ -719,7 +726,10 @@ class CMPSimulator:
                 # The arrival executes at the governor-chosen operating
                 # point from its very first (warming) access.
                 self.dvfs.activate_core(event.core, when, core.instructions)
-            self._warm_core(core)
+            # The incoming application faults its working set in: real
+            # LLC traffic, charged to the measured window like any
+            # other post-warmup work.
+            self._warm([core])
             if self._warmup == 0:
                 core.start_measurement()
             return 0
@@ -847,52 +857,37 @@ class CMPSimulator:
         return entry[3] + memory_latency
 
     # ------------------------------------------------------------------
-    def _prewarm(self) -> None:
-        """Pre-touch each core's resident working set (cache warming).
+    def _prewarm(self, cores: list[CoreState]) -> None:
+        """Pre-touch ``cores``' resident working sets (cache warming).
 
         Mirrors the paper's explicit warmup after fast-forward: every
         ring/hot line is accessed once through the real hierarchy,
         interleaved across cores, before the measured window.  The
         traffic ages normally and everything it touches is discarded
-        by the warmup statistics reset.  Only cores present at cycle 0
-        warm here; a late arrival warms at its arrival cycle
-        (:meth:`_warm_core`).
-
-        Cores advance through per-core cursors and drained cores drop
-        out of the sweep list, so each round only visits cores that
-        still have lines to warm (the previous implementation rescanned
-        every core per warmed line).
+        by the warmup statistics reset.  The cores present at cycle 0
+        warm together at run start; a late arrival warms alone at its
+        arrival cycle.
         """
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
         l1_hits = self.hierarchy.l1_hits
         miss = self._l1_miss
         warm_one = self._warm_access
-        # [core, cursor, lines, length, hit_cost] per core with warming
-        # to do (the hit cost is the core's scaled L1 latency when the
-        # run carries a governor).
-        active = [
-            [
-                core, 0, core.warm_lines, len(core.warm_lines),
-                self._l1_hit_cost(core.core_id),
-            ]
-            for core in self.cores
-            if core.active and len(core.warm_lines)
+        # (core, lines, hit cost) per core; the hit cost is the core's
+        # scaled L1 latency when the run carries a governor
+        sweep = [
+            (core, core.warm_lines, self._l1_hit_cost(core.core_id))
+            for core in cores
+            if core.active
         ]
-        while active:
-            drained = False
-            for entry in active:
-                cursor = entry[1]
-                warm_one(
-                    entry[0], entry[2][cursor],
-                    l1_mask, l1_shift, entry[4], l1_hits, miss,
-                )
-                cursor += 1
-                entry[1] = cursor
-                if cursor == entry[3]:
-                    drained = True
-            if drained:
-                active = [entry for entry in active if entry[1] < entry[3]]
+        rounds = max((len(lines) for _, lines, _ in sweep), default=0)
+        for index in range(rounds):
+            for core, lines, hit_cost in sweep:
+                if index < len(lines):
+                    warm_one(
+                        core, lines[index],
+                        l1_mask, l1_shift, hit_cost, l1_hits, miss,
+                    )
 
     def _l1_hit_cost(self, core_id: int) -> int:
         """The L1 hit latency of ``core_id`` at its current operating
@@ -927,24 +922,6 @@ class CMPSimulator:
                 core.core_id, address, False, now,
                 cset, address & l1_mask, address >> l1_shift,
             )
-
-    def _warm_core(self, core: CoreState) -> None:
-        """Warm one late-arriving core's resident working set.
-
-        The same per-line traffic as :meth:`_prewarm`, but for a single
-        core starting at its arrival cycle.  The warming accesses are
-        real LLC traffic (the incoming application faults its working
-        set in), so they are charged to the measured window like any
-        other post-warmup work.
-        """
-        warm_one = self._warm_access
-        l1_mask = self._l1_mask
-        l1_shift = self._l1_shift
-        hit_cost = self._l1_hit_cost(core.core_id)
-        l1_hits = self.hierarchy.l1_hits
-        miss = self._l1_miss
-        for address in core.warm_lines:
-            warm_one(core, address, l1_mask, l1_shift, hit_cost, l1_hits, miss)
 
     def _run_epoch(self, now: int) -> bool:
         """Partitioning decision at a global epoch boundary.

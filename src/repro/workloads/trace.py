@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.cache.geometry import CacheGeometry
 from repro.workloads.profiles import BenchmarkProfile
@@ -190,12 +189,15 @@ def generate_trace(
     # all categories first therefore leaves the Mersenne Twister word
     # stream untouched, and the column fill can replay that stream
     # either scalar (no numpy) or in bulk (vectorized) — byte-identical
-    # traces by construction.
-    categories = _category_sequence(phases, len(rings) + 2, n_refs)
+    # traces by construction.  The two sequential loops (category
+    # picks, draw resolution) run in the compiled kernel when it loads.
+    kernel = _loops_kernel()
+    categories = _category_sequence(phases, len(rings) + 2, n_refs, kernel)
 
     if _np is not None:
         gaps, addresses, writes = _fill_columns_numpy(
-            profile, rng, categories, rings, hot_addresses, hot_lines, mean_gap
+            profile, rng, categories, rings, hot_addresses, hot_lines,
+            mean_gap, kernel,
         )
     else:
         gaps, addresses, writes = _fill_columns_python(
@@ -215,11 +217,25 @@ def generate_trace(
     )
 
 
+def _loops_kernel():
+    """The compiled kernel, loaded on first use, or None when it cannot
+    load (the Python loops then run, with identical output)."""
+    from repro.engine import compiled_available
+    from repro.engine.build import load_kernel
+
+    return load_kernel() if compiled_available() else None
+
+
+def _address(values: array) -> int:
+    return values.buffer_info()[0]
+
+
 def _category_sequence(
     phases: list[tuple[int, list[float]]],
     n_categories: int,
     n_refs: int,
-) -> tuple[int, ...]:
+    kernel=None,
+) -> "array[int]":
     """Per-reference category picks: 0 = hot, 1..n = rings, last = stream.
 
     Smooth weighted round-robin over categories (hot region, each
@@ -230,21 +246,19 @@ def _category_sequence(
     on.  An iid category draw would smear each working-set knee over
     several ways (Poisson interleaving noise).
 
-    The pick sequence depends only on the phase weight tables and the
-    length — not on the seed, the cache geometry, or the L1 size — so
-    one computed sequence serves a whole sweep's worth of traces for
-    the same profile (see the cache on the inner helper).
+    ``kernel`` runs the same loop in C (``repro_category_sequence``).
     """
-    key = tuple((duration, tuple(weights)) for duration, weights in phases)
-    return _category_sequence_cached(key, n_categories, n_refs)
+    if kernel is not None:
+        durations = array("q", [duration for duration, _ in phases])
+        weights = array("d", [w for _, row in phases for w in row])
+        credits = array("d", bytes(8 * n_categories))
+        out = array("q", bytes(8 * n_refs))
+        kernel.repro_category_sequence(
+            _address(durations), _address(weights), len(phases),
+            n_categories, n_refs, _address(credits), _address(out),
+        )
+        return out
 
-
-@lru_cache(maxsize=16)
-def _category_sequence_cached(
-    phases: tuple[tuple[int, tuple[float, ...]], ...],
-    n_categories: int,
-    n_refs: int,
-) -> tuple[int, ...]:
     credits = [0.0] * n_categories
     categories: list[int] = []
     append = categories.append
@@ -269,13 +283,13 @@ def _category_sequence_cached(
                 best_credit = credit
         credits[best] -= 1.0
         append(best)
-    return tuple(categories)
+    return array("q", categories)
 
 
 def _fill_columns_python(
     profile: BenchmarkProfile,
     rng: random.Random,
-    categories: "tuple[int, ...]",
+    categories: "array[int]",
     rings: list["_RingState"],
     hot_addresses: list[int],
     hot_lines: int,
@@ -321,16 +335,15 @@ class _WordStream:
     each stored little-endian — the identical word sequence
     ``getrandbits(32)`` (and hence ``random()``/``randrange``) would
     consume, but produced by one C call instead of ``k`` Python-level
-    ones.  The words are exposed twice over the same byte buffer: as
-    an ``array('I')`` for cheap scalar indexing in the rejection-
-    sampling resolution loop, and as a numpy view for the vectorized
-    column math.  Only whole words are ever requested, so the buffer
-    stays word-aligned with the generator state.
+    ones.  The words live in one ``array('I')``: indexed directly by
+    the rejection-sampling resolution (Python or kernel) and viewed
+    as a numpy array by the vectorized column math.  Only whole words
+    are ever requested, so the buffer stays word-aligned with the
+    generator state.
     """
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._buffer = bytearray()
         self.words: "array[int]" = array("I")
 
     def ensure(self, count: int) -> None:
@@ -338,24 +351,23 @@ class _WordStream:
         have = len(self.words)
         if have < count:
             need = max(count - have, 4096)
-            chunk = self._rng.randbytes(4 * need)
-            self._buffer += chunk
-            self.words.frombytes(chunk)
+            self.words.frombytes(self._rng.randbytes(4 * need))
 
     def asarray(self, count: int) -> "_np.ndarray":
         """The first ``count`` words as one uint32 array (buffer view)."""
         self.ensure(count)
-        return _np.frombuffer(self._buffer, dtype="<u4", count=count)
+        return _np.frombuffer(self.words, dtype=_np.uint32, count=count)
 
 
 def _fill_columns_numpy(
     profile: BenchmarkProfile,
     rng: random.Random,
-    categories: "tuple[int, ...]",
+    categories: "array[int]",
     rings: list["_RingState"],
     hot_addresses: list[int],
     hot_lines: int,
     mean_gap: float,
+    kernel=None,
 ) -> tuple["array[int]", "array[int]", "array[int]"]:
     """Vectorized column fill, bit-identical to the scalar path.
 
@@ -363,10 +375,11 @@ def _fill_columns_numpy(
     (``randrange``, i.e. rejection sampling over ``bit_length``-wide
     words — zero or more words) followed by exactly four words (two
     per ``random()`` call, for the gap and the write flag).  Rejection
-    lengths are data-dependent, so the draws resolve in one tight
-    scalar pass over the pregenerated word list; everything downstream
-    of the resulting offsets — gap arithmetic, write thresholds,
-    address table lookups, stream/cyclic cursors — is pure array math.
+    lengths are data-dependent, so the draws resolve in one sequential
+    pass over the pregenerated words (in the kernel when it loads);
+    everything downstream of the resulting offsets — gap arithmetic,
+    write thresholds, address table lookups, stream/cyclic cursors —
+    is pure array math.
     """
     n_refs = len(categories)
     n_categories = len(rings) + 2
@@ -381,38 +394,44 @@ def _fill_columns_numpy(
     words = _WordStream(rng)
     words.ensure(4 * n_refs + 624)
     emitted = words.words
-    ensure = words.ensure
-    available = len(emitted)
-
-    draw_words = [0] * n_refs
-    draw_values = [0] * n_refs
-    extra = 0
-    base = 0
-    for index, category in enumerate(categories):
-        modulus = moduli[category]
-        if modulus:
-            shift = shifts[category]
-            position = base + extra
-            if position >= available:
-                ensure(position + 624)
-                available = len(emitted)
-            value = emitted[position] >> shift
-            while value >= modulus:
-                position += 1
-                if position >= available:
-                    ensure(position + 624)
-                    available = len(emitted)
-                value = emitted[position] >> shift
-            consumed = position + 1 - base - extra
-            draw_words[index] = consumed
-            draw_values[index] = value
-            extra += consumed
-        base += 4
+    draw_words = array("q", bytes(8 * n_refs))
+    draw_values = array("q", bytes(8 * n_refs))
+    if kernel is not None:
+        # repro_resolve_draws: the same pass in C, pausing whenever
+        # the word stream must grow
+        cursor = array("q", [0, 0])
+        moduli_arr = array("q", moduli)
+        shifts_arr = array("q", shifts)
+        while needed := kernel.repro_resolve_draws(
+            _address(categories), n_refs,
+            _address(moduli_arr), _address(shifts_arr),
+            _address(emitted), len(emitted),
+            _address(draw_words), _address(draw_values), _address(cursor),
+        ):
+            words.ensure(needed + 624)
+        extra = cursor[1]
+    else:
+        extra = 0
+        for index, category in enumerate(categories):
+            modulus = moduli[category]
+            if modulus:
+                shift = shifts[category]
+                start = position = 4 * index + extra
+                while True:
+                    if position >= len(emitted):
+                        words.ensure(position + 624)
+                    value = emitted[position] >> shift
+                    if value < modulus:
+                        break
+                    position += 1
+                draw_words[index] = position + 1 - start
+                draw_values[index] = value
+                extra += position + 1 - start
 
     total_words = 4 * n_refs + extra
     word_arr = words.asarray(total_words)
 
-    consumed_arr = _np.asarray(draw_words, dtype=_np.int64)
+    consumed_arr = _np.frombuffer(draw_words, dtype=_np.int64)
     offsets = _np.arange(n_refs, dtype=_np.int64) * 4
     offsets[1:] += _np.cumsum(consumed_arr)[:-1]
     gap_index = offsets + consumed_arr  # first post-draw word per ref
@@ -430,8 +449,8 @@ def _fill_columns_numpy(
     writes_np = (uniform(gap_index + 2) < profile.write_ratio).astype(_np.int8)
 
     addresses_np = _np.empty(n_refs, dtype=_np.int64)
-    category_arr = _np.asarray(categories, dtype=_np.int64)
-    value_arr = _np.asarray(draw_values, dtype=_np.int64)
+    category_arr = _np.frombuffer(categories, dtype=_np.int64)
+    value_arr = _np.frombuffer(draw_values, dtype=_np.int64)
 
     hot_mask = category_arr == 0
     addresses_np[hot_mask] = _np.asarray(hot_addresses, dtype=_np.int64)[
@@ -449,7 +468,6 @@ def _fill_columns_numpy(
             addresses_np[mask] = table[
                 _np.arange(count, dtype=_np.int64) % ring.lines
             ]
-            ring.cursor = count % ring.lines
         else:
             addresses_np[mask] = table[value_arr[mask]]
 

@@ -13,12 +13,13 @@ without numpy or a C toolchain simply has fewer engines to compare
 import pytest
 
 from repro.bench.golden import diff_payloads
-from repro.engine import PYTHON, available_engines
+from repro.engine import COMPILED, PYTHON, available_engines
 from repro.experiment import Experiment
 from repro.orchestration.serialize import run_result_to_dict
 from repro.scenarios.corpus import corpus_scenario
 from repro.scenarios.generate import corpus_config
 from repro.sim.runner import ExperimentRunner
+from repro.sim.simulator import CMPSimulator
 
 #: (corpus scenario, policy, governor): every corpus shape, both core
 #: counts, the hook-bearing schemes (takeover, UCP migration, CPE) and
@@ -96,3 +97,46 @@ def test_timelines_are_part_of_the_comparison(references, monkeypatch):
     would quietly gut this suite)."""
     payload = references(SAMPLE[0], monkeypatch)
     assert payload["timeline"], "corpus scenario serialised no timeline"
+
+
+#: corpus schedules whose arrivals land while a cooperative takeover
+#: is in flight (some started by the arrival itself), so the compiled
+#: warm sweep bails on a line that would complete a takeover vector
+#: and resumes after Python warms it
+MID_TAKEOVER_ARRIVALS = ["storm-2c-s001", "diurnal-4c-s001", "storm-4c-s001"]
+
+_COMPILED_AVAILABLE = COMPILED in available_engines()
+
+
+@pytest.mark.skipif(not _COMPILED_AVAILABLE, reason="no compiled engine")
+@pytest.mark.parametrize("governor", [None, "coordinated"])
+@pytest.mark.parametrize("name", MID_TAKEOVER_ARRIVALS)
+def test_arrivals_mid_takeover_warm_in_the_kernel(
+    name, governor, references, monkeypatch
+):
+    case = (name, "cooperative", governor)
+    expected = references(case, monkeypatch)
+
+    def no_python_warm(self, cores):
+        raise AssertionError("compiled engine warmed cores in Python")
+
+    bailed_lines = []
+    warm_access = CMPSimulator._warm_access
+
+    def counting_warm_access(*args):
+        bailed_lines.append(args[1])
+        return warm_access(*args)
+
+    # _prewarm is the Python warm routine for run start and arrivals
+    # alike; the compiled engine must never enter it.
+    monkeypatch.setattr(CMPSimulator, "_prewarm", no_python_warm)
+    monkeypatch.setattr(
+        CMPSimulator, "_warm_access", staticmethod(counting_warm_access)
+    )
+    actual = _run(case, COMPILED, monkeypatch)
+    mismatches = diff_payloads(expected, actual)
+    assert not mismatches, "\n  ".join(mismatches[:20])
+    # Guard the guard: the kernel's completion bail actually fired, so
+    # the resume path was exercised rather than a sweep that never met
+    # an in-flight takeover.
+    assert bailed_lines, f"{name}: no warm line completed a takeover"

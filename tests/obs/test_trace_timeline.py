@@ -117,3 +117,20 @@ class TestDiagnosticsSerialization:
         assert payload["diagnostics"] == result.diagnostics
         restored = run_result_from_dict(payload)
         assert restored.diagnostics == result.diagnostics
+
+
+def test_trace_synthesis_is_its_own_span():
+    """Each distinct trace is generated under one ``trace``-category
+    span inside the task that first needs it; a cached trace records
+    nothing."""
+    rec = TraceRecorder()
+    set_recorder(rec)
+    runner = ExperimentRunner()
+    config = corpus_config(2)
+    runner.trace_for("lbm", config)
+    runner.trace_for("lbm", config)
+    spans = [e for e in rec.events() if e.get("cat") == "trace"]
+    assert [(e["name"], e["ph"]) for e in spans] == [("generate_trace", "X")]
+    assert spans[0]["args"] == {
+        "benchmark": "lbm", "refs": config.refs_per_core,
+    }
