@@ -5,28 +5,33 @@ restricted to permitted ways (RAP registers), fills are restricted to
 writable ways (WAP registers), and victim selection walks the recency
 order filtered by those same way subsets.
 
-Hot-path representation (everything the inner loop touches is flat,
-preallocated and allocation-free to mutate):
+Representation.  Every column is a flat ``array`` that the Python
+engine mutates in place and the compiled kernel addresses directly
+(one pointer per column, captured once per run), so there is one
+format for line state and nothing to copy between engines:
 
 * ``tags``/``owner`` are ``array('q')`` columns with a ``-1`` sentinel
   (:data:`NO_TAG`/``NO_OWNER``) instead of ``list[int | None]``;
-* ``dirty`` is a ``bytearray`` of 0/1 flags;
-* recency is a monotonically increasing **stamp** per way (``stamp``
-  plus the ``clock`` counter) instead of a reordered stack: a touch is
-  two integer stores, and the LRU victim is the minimum stamp among
-  the candidate ways — no ``list.remove``/``insert`` churn and no
-  ``set(candidates)`` allocation per eviction.  Stamps are unique, so
-  the induced order is exactly the old stack's order;
-* ``tag_map`` mirrors ``tags`` as a tag -> way dict so a full-width
-  probe is one hash lookup; restricted probes combine it with the
-  caller's precomputed way-membership bitmask (see
-  :meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast`).
-  The map always points at the *most recently installed* copy of a
-  tag, which for every simulated probe pattern is the only copy the
-  prober may see (cores have disjoint address spaces, and a stale
-  duplicate can only exist in a way its owner no longer probes);
-* ``valid_count`` lets the fill path skip the invalid-way scan once
-  the set is full (always, after warmup).
+* ``dirty`` is an ``array('B')`` of 0/1 flags;
+* recency is a monotonically increasing **stamp** per way: a touch
+  stores the cache's ``clock`` (a one-element ``array('q')`` shared by
+  every set of one cache) and advances it, and the LRU victim is the
+  minimum stamp among the candidate ways.  Stamps are only ever
+  compared within one set, so a per-cache counter induces exactly the
+  order a per-set counter would; a set built on its own gets its own
+  counter;
+* ``mapped`` is the LLC lookup column: ``mapped[way] == tag`` only
+  while ``way`` holds the *most recently installed* copy of ``tag``.
+  An install clears any older copy's entry and an evict or invalidate
+  clears its own, and the LLC's probe scans ``mapped``, not ``tags``.
+  Restricted probes can leave a stale duplicate of a tag in a way its
+  owner no longer probes; that copy stays invisible to every later
+  probe (and is written back when it is evicted, if dirty).  L1 paths
+  probe every way and so never leave a duplicate: they scan ``tags``
+  and leave ``mapped`` alone.
+
+"Fill an invalid way first" needs no counter: callers gate the scan
+with ``NO_TAG in tags``, which is false once the set is full.
 """
 
 from __future__ import annotations
@@ -41,28 +46,31 @@ NO_WAY = -1
 #: Sentinel tag meaning "invalid line" (real tags are non-negative).
 NO_TAG = -1
 
+# One-element templates: repeating one is the cheapest way to build a
+# column, and a run builds one CacheSet per set of every cache.
+_INVALID = array("q", [NO_TAG])
+_UNOWNED = array("q", [NO_OWNER])
+_CLEAN = array("B", [0])
+
 
 class CacheSet:
     """State of a single set in a set-associative cache."""
 
-    __slots__ = ("ways", "tags", "dirty", "owner", "stamp", "clock",
-                 "tag_map", "valid_count")
+    __slots__ = ("ways", "tags", "mapped", "dirty", "owner", "stamp", "clock")
 
-    def __init__(self, ways: int) -> None:
+    def __init__(self, ways: int, clock: array | None = None) -> None:
         if ways <= 0:
             raise ValueError(f"a cache set needs at least one way, got {ways}")
         self.ways = ways
-        self.tags = array("q", [NO_TAG]) * ways
-        self.dirty = bytearray(ways)
-        self.owner = array("q", [NO_OWNER]) * ways
+        self.tags = _INVALID * ways
+        self.mapped = _INVALID * ways
+        self.dirty = _CLEAN * ways
+        self.owner = _UNOWNED * ways
         # Initial recency matches the historical stack [0, 1, .., w-1]
-        # (way 0 most recent); stamps stay unique forever because the
-        # clock only moves forward.  An ``array('q')`` like the other
-        # columns, so engines can view the recency state zero-copy.
+        # (way 0 most recent); stamps stay unique within the set
+        # because the clock only moves forward and starts past them.
         self.stamp = array("q", range(ways, 0, -1))
-        self.clock = ways + 1
-        self.tag_map: dict[int, int] = {}
-        self.valid_count = 0
+        self.clock = array("q", [ways + 1]) if clock is None else clock
 
     # ------------------------------------------------------------------
     # Lookup
@@ -73,8 +81,8 @@ class CacheSet:
         Returns :data:`NO_WAY` when the tag is absent from the searched
         ways.  Searching a subset models the RAP-restricted probes that
         give Cooperative Partitioning its dynamic-energy savings.  This
-        is the general (scan-based) API; the simulator's inner loop
-        uses ``tag_map`` with precomputed membership masks instead.
+        is the general (scan-based) API; the LLC's inner loop scans
+        ``mapped`` with precomputed membership masks instead.
         """
         tags = self.tags
         if ways is None:
@@ -89,8 +97,9 @@ class CacheSet:
 
     def touch(self, way: int) -> None:
         """Make ``way`` the most recently used."""
-        self.stamp[way] = self.clock
-        self.clock += 1
+        clock = self.clock
+        self.stamp[way] = clock[0]
+        clock[0] += 1
 
     def stack_position(self, way: int) -> int:
         """Recency position of ``way`` (0 = MRU)."""
@@ -117,12 +126,10 @@ class CacheSet:
         tags = self.tags
         stamp = self.stamp
         if ways is None:
-            if self.valid_count != self.ways:
-                for way in range(self.ways):
-                    if tags[way] == NO_TAG:
-                        return way
+            if NO_TAG in tags:
+                return tags.index(NO_TAG)
             return stamp.index(min(stamp))
-        if self.valid_count != self.ways:
+        if NO_TAG in tags:
             for way in ways:
                 if tags[way] == NO_TAG:
                     return way
@@ -142,28 +149,21 @@ class CacheSet:
     # ------------------------------------------------------------------
     def install(self, way: int, tag: int, owner: int, dirty: bool) -> None:
         """Fill ``way`` with a new line and make it MRU."""
-        tags = self.tags
-        old = tags[way]
-        tag_map = self.tag_map
-        if old == NO_TAG:
-            self.valid_count += 1
-        elif tag_map.get(old) == way:
-            del tag_map[old]
-        tags[way] = tag
-        tag_map[tag] = way
+        mapped = self.mapped
+        if tag in mapped:
+            mapped[mapped.index(tag)] = NO_TAG
+        self.tags[way] = tag
+        mapped[way] = tag
         self.dirty[way] = 1 if dirty else 0
         self.owner[way] = owner
-        self.stamp[way] = self.clock
-        self.clock += 1
+        clock = self.clock
+        self.stamp[way] = clock[0]
+        clock[0] += 1
 
     def invalidate(self, way: int) -> None:
         """Drop the line in ``way`` (used by power-gating and CPE flushes)."""
-        old = self.tags[way]
-        if old != NO_TAG:
-            self.valid_count -= 1
-            if self.tag_map.get(old) == way:
-                del self.tag_map[old]
         self.tags[way] = NO_TAG
+        self.mapped[way] = NO_TAG
         self.dirty[way] = 0
         self.owner[way] = NO_OWNER
 

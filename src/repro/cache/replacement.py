@@ -96,7 +96,7 @@ class PartitionAwareVictimSelector(VictimSelector):
 
     def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
         tags = cset.tags
-        if cset.valid_count != cset.ways:
+        if NO_TAG in tags:
             for way in ways:
                 if tags[way] == NO_TAG:
                     return way

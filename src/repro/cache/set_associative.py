@@ -15,6 +15,7 @@ the same counters.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.cache.cache_set import NO_TAG, NO_WAY, CacheSet
@@ -56,7 +57,11 @@ class SetAssociativeCache:
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self.sets = [CacheSet(geometry.ways) for _ in range(geometry.num_sets)]
+        #: the recency counter every set of this cache stamps from
+        self.clock = array("q", [geometry.ways + 1])
+        self.sets = [
+            CacheSet(geometry.ways, self.clock) for _ in range(geometry.num_sets)
+        ]
         #: valid lines per owning core, maintained incrementally;
         #: grown on demand (owner ids are small non-negative ints)
         self.core_occupancy: list[int] = []
@@ -198,4 +203,6 @@ class SetAssociativeCache:
 
     def valid_line_count(self) -> int:
         """Number of valid lines in the cache."""
-        return sum(cset.valid_count for cset in self.sets)
+        return sum(
+            cset.ways - cset.tags.count(NO_TAG) for cset in self.sets
+        )

@@ -21,6 +21,7 @@ than UCP's recipient-miss-only migration (Figure 15).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.cache.memory import MainMemory
@@ -39,7 +40,7 @@ class TakeoverVector:
 
     def __init__(self, num_sets: int) -> None:
         self.num_sets = num_sets
-        self.bits = bytearray(num_sets)
+        self.bits = array("B", bytes(num_sets))
         self.set_count = 0
 
     def mark(self, set_index: int) -> bool:
@@ -52,7 +53,7 @@ class TakeoverVector:
 
     def reset(self) -> None:
         """Clear all bits (start of a transition period)."""
-        self.bits = bytearray(self.num_sets)
+        self.bits = array("B", bytes(self.num_sets))
         self.set_count = 0
 
     @property

@@ -9,25 +9,28 @@ ordinary Python machinery between spans.  The contract is bit-exact
 equality with ``CMPSimulator._run_python`` on every supported
 configuration; the golden fixtures and ``tests/engine`` pin it.
 
-Marshalling strategy.  Line-state columns (``tags``/``stamp``/
-``owner``/``dirty``) are ``array('q')``/``bytearray`` and the kernel
-works on them **in place** — pointers are captured once per run and
-never copied.  Everything else (Python ints, lists, dicts) is copied
-into flat arrays before each span and synced back after it:
+Marshalling strategy.  Cache-line and ATD state has one format, the
+Python objects' own arrays, and the kernel mutates it **in place**:
 
-* ``tag_map`` dicts become a per-set ``mapped[way] -> tag`` mirror
-  (the dicts are only ever used as tag -> way lookups, so their
-  iteration order is unobservable and they can be rebuilt from the
-  mirror for sets the kernel modified);
-* order-sensitive dict/list side effects (flush timelines, transfer
-  flush buckets, UCP transition durations) come back through an
-  ordered event buffer and are replayed chronologically;
-* ATD stacks, UCP transition counters and takeover vectors are packed
-  densely per span (takeover-vector bit arrays are shared in place).
+* shared for the whole run (pointer tables built once in
+  :class:`_Marshal`): every L1 and LLC set's ``tags``/``mapped``/
+  ``stamp``/``owner``/``dirty`` columns, each cache's recency
+  ``clock``, and each ATD's ``stack``/``depth`` arrays;
+* shared per span (pointers refreshed in ``span_in``, because the
+  objects are replaced mid-run): trace columns, takeover-vector
+  ``bits`` and UCP transition counters.
+
+What is still copied in and out of each span is O(cores × ways):
+per-core scheduler rows, L1/LLC statistics and occupancy counters,
+energy and memory scalars, the policy's way tables, ATD hit counters,
+DVFS rows and the takeover bookkeeping.  Order-sensitive dict/list
+side effects (flush timelines, transfer flush buckets, UCP transition
+durations) come back through an ordered event buffer and are replayed
+chronologically.
 
 A policy whose access path the kernel does not model — custom hooks
-outside the five built-in schemes — silently falls back to the batched
-or pure-Python engine; selection stays an optimisation, never a
+outside the five built-in schemes — silently falls back to the
+pure-Python engine; selection stays an optimisation, never a
 behaviour change.
 """
 
@@ -50,7 +53,6 @@ from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
 
 _NEVER = 1 << 62
-_NO_TAG = -1
 
 KIND_TABLED = 0
 KIND_UCP = 1
@@ -81,7 +83,7 @@ class _Ctx(ctypes.Structure):
         "llc_ways", "llc_nsets", "policy_kind", "has_dvfs", "mem_latency",
         "mem_nbanks", "mem_bank_busy", "mem_bank_shift",
         "flush_bucket_cycles", "stats_bucket_cycles", "has_monitors",
-        "umon_mask", "umon_offset", "umon_shift", "atd_nslots",
+        "umon_mask", "umon_offset", "umon_shift",
         "last_decision_cycle", "l1_nsets", "l1_ways", "l1_mask", "l1_shift",
         # loop state
         "warmed_up", "unfinished", "boundary", "bail_now", "bail_core",
@@ -94,11 +96,10 @@ class _Ctx(ctypes.Structure):
         "trace_gaps", "trace_addr", "trace_writes",
         # L1
         "l1_tags", "l1_stamp", "l1_owner", "l1_dirty", "l1_clock",
-        "l1_valid", "l1_modified", "l1_occ", "l1_hits", "l1_misses",
-        "l1_writebacks",
+        "l1_occ", "l1_hits", "l1_misses", "l1_writebacks",
         # LLC
         "llc_tags", "llc_stamp", "llc_owner", "llc_dirty", "llc_clock",
-        "llc_valid", "llc_mapped", "llc_modified", "llc_occ",
+        "llc_mapped", "llc_occ",
         # policy fast tables
         "probe_mask", "probe_count", "fill_count", "fill_ways",
         "custom_victim", "pre_access_active", "post_fill_active",
@@ -138,11 +139,9 @@ def _addr(arr: array) -> int:
     return arr.buffer_info()[0]
 
 
-def _pin(buf: bytearray, keep: list) -> int:
-    """Address of a bytearray's storage; the view keeps it importable."""
-    view = (ctypes.c_char * len(buf)).from_buffer(buf)
-    keep.append(view)
-    return ctypes.addressof(view)
+def _table(columns) -> array:
+    """A pointer table: the addresses of ``columns``, in order."""
+    return array("q", [_addr(col) for col in columns] or [0])
 
 
 def _qzeros(n: int) -> array:
@@ -209,12 +208,7 @@ class _Marshal:
         self.n = n
         geometry = policy.geometry
         self.W = W = geometry.ways
-        self.nsets = nsets = geometry.num_sets
         l1_geom = hierarchy.l1[0].geometry
-        self.l1_nsets = l1_nsets = l1_geom.num_sets
-        self.l1_ways = l1_ways = l1_geom.ways
-        self._keep: list = []          # pinned buffers, run lifetime
-        self._span_keep: list = []     # pinned buffers, span lifetime
 
         ctx = _Ctx()
         self.ctx = ctx
@@ -237,7 +231,7 @@ class _Marshal:
         ctx.llc_set_mask = geometry.set_mask
         ctx.llc_set_shift = geometry.set_shift
         ctx.llc_ways = W
-        ctx.llc_nsets = nsets
+        ctx.llc_nsets = geometry.num_sets
         ctx.policy_kind = kind
         ctx.has_dvfs = 0 if sim.dvfs is None else 1
         memory = sim.memory
@@ -251,16 +245,10 @@ class _Marshal:
         ctx.has_monitors = 1 if atds else 0
         ctx.umon_mask = policy._umon_mask
         ctx.umon_offset = policy._umon_offset
-        if atds:
-            interval = policy._umon_mask + 1
-            ctx.umon_shift = interval.bit_length() - 1
-            ctx.atd_nslots = nslots = nsets // interval
-        else:
-            ctx.umon_shift = 0
-            ctx.atd_nslots = nslots = 0
-        self.nslots = nslots
-        ctx.l1_nsets = l1_nsets
-        ctx.l1_ways = l1_ways
+        # an ATD slot is its set's index among the sampled sets
+        ctx.umon_shift = (policy._umon_mask + 1).bit_length() - 1 if atds else 0
+        ctx.l1_nsets = l1_geom.num_sets
+        ctx.l1_ways = l1_geom.ways
         ctx.l1_mask = sim._l1_mask
         ctx.l1_shift = sim._l1_shift
 
@@ -285,60 +273,30 @@ class _Marshal:
         ctx.trace_addr = _addr(self._addr_tbl)
         ctx.trace_writes = _addr(self._write_tbl)
 
-        # ---- L1 columns ----------------------------------------------
-        total_l1 = n * l1_nsets
-        self._l1_sets = [
-            sim.cores[ci].l1_sets[s]
-            for ci in range(n) for s in range(l1_nsets)
-        ]
-        self._l1_tags_tbl = _qzeros(total_l1)
-        self._l1_stamp_tbl = _qzeros(total_l1)
-        self._l1_owner_tbl = _qzeros(total_l1)
-        self._l1_dirty_tbl = _qzeros(total_l1)
-        for i, cset in enumerate(self._l1_sets):
-            self._l1_tags_tbl[i] = _addr(cset.tags)
-            self._l1_stamp_tbl[i] = _addr(cset.stamp)
-            self._l1_owner_tbl[i] = _addr(cset.owner)
-            self._l1_dirty_tbl[i] = _pin(cset.dirty, self._keep)
-        ctx.l1_tags = _addr(self._l1_tags_tbl)
-        ctx.l1_stamp = _addr(self._l1_stamp_tbl)
-        ctx.l1_owner = _addr(self._l1_owner_tbl)
-        ctx.l1_dirty = _addr(self._l1_dirty_tbl)
-        self._l1_clock = _qzeros(total_l1)
-        self._l1_valid = _qzeros(total_l1)
-        self._l1_modified = bytearray(total_l1)
-        ctx.l1_clock = _addr(self._l1_clock)
-        ctx.l1_valid = _addr(self._l1_valid)
-        ctx.l1_modified = _pin(self._l1_modified, self._keep)
+        # ---- L1 / LLC columns: the sets' own arrays ------------------
+        l1_sets = [cset for core in sim.cores for cset in core.l1_sets]
+        llc_sets = policy._sets
+        self._tables = tables = {
+            "l1_tags": _table(cset.tags for cset in l1_sets),
+            "l1_stamp": _table(cset.stamp for cset in l1_sets),
+            "l1_owner": _table(cset.owner for cset in l1_sets),
+            "l1_dirty": _table(cset.dirty for cset in l1_sets),
+            "l1_clock": _table(l1.clock for l1 in hierarchy.l1),
+            "llc_tags": _table(cset.tags for cset in llc_sets),
+            "llc_stamp": _table(cset.stamp for cset in llc_sets),
+            "llc_owner": _table(cset.owner for cset in llc_sets),
+            "llc_dirty": _table(cset.dirty for cset in llc_sets),
+            "llc_mapped": _table(cset.mapped for cset in llc_sets),
+            "atd_stack": _table(atd.stack for atd in atds),
+            "atd_len": _table(atd.depth for atd in atds),
+        }
+        for name, table in tables.items():
+            setattr(ctx, name, _addr(table))
+        ctx.llc_clock = _addr(policy.cache.clock)
         for name in ("l1_occ", "l1_hits", "l1_misses", "l1_writebacks"):
             col = _qzeros(n)
             self._core_cols[name] = col
             setattr(ctx, name, _addr(col))
-
-        # ---- LLC columns ---------------------------------------------
-        self._llc_sets = policy._sets
-        self._llc_tags_tbl = _qzeros(nsets)
-        self._llc_stamp_tbl = _qzeros(nsets)
-        self._llc_owner_tbl = _qzeros(nsets)
-        self._llc_dirty_tbl = _qzeros(nsets)
-        for i, cset in enumerate(self._llc_sets):
-            self._llc_tags_tbl[i] = _addr(cset.tags)
-            self._llc_stamp_tbl[i] = _addr(cset.stamp)
-            self._llc_owner_tbl[i] = _addr(cset.owner)
-            self._llc_dirty_tbl[i] = _pin(cset.dirty, self._keep)
-        ctx.llc_tags = _addr(self._llc_tags_tbl)
-        ctx.llc_stamp = _addr(self._llc_stamp_tbl)
-        ctx.llc_owner = _addr(self._llc_owner_tbl)
-        ctx.llc_dirty = _addr(self._llc_dirty_tbl)
-        self._llc_clock = _qzeros(nsets)
-        self._llc_valid = _qzeros(nsets)
-        self._llc_mapped = _qzeros(nsets * W)
-        self._llc_mapped_addr = _addr(self._llc_mapped)
-        self._llc_modified = bytearray(nsets)
-        ctx.llc_clock = _addr(self._llc_clock)
-        ctx.llc_valid = _addr(self._llc_valid)
-        ctx.llc_mapped = self._llc_mapped_addr
-        ctx.llc_modified = _pin(self._llc_modified, self._keep)
         self._llc_occ = _qzeros(n)
         ctx.llc_occ = _addr(self._llc_occ)
 
@@ -369,14 +327,10 @@ class _Marshal:
         ctx.dvfs_entries = _addr(self._dvfs_entries)
         ctx.dvfs_stall = _addr(self._dvfs_stall)
 
-        # ---- atd -----------------------------------------------------
-        self._atd_stack = _qzeros(n * nslots * W)
-        self._atd_len = _qzeros(n * nslots)
+        # ---- atd counters --------------------------------------------
         self._atd_pos_hits = _qzeros(n * W)
         self._atd_misses = _qzeros(n)
         self._atd_accesses = _qzeros(n)
-        ctx.atd_stack = _addr(self._atd_stack)
-        ctx.atd_len = _addr(self._atd_len)
         ctx.atd_pos_hits = _addr(self._atd_pos_hits)
         ctx.atd_misses = _addr(self._atd_misses)
         ctx.atd_accesses = _addr(self._atd_accesses)
@@ -522,27 +476,6 @@ class _Marshal:
             addr_tbl[ci] = _addr(core.addresses)
             write_tbl[ci] = _addr(core.writes)
 
-        # L1 / LLC per-set Python scalars.
-        l1_clock = self._l1_clock
-        l1_valid = self._l1_valid
-        for i, cset in enumerate(self._l1_sets):
-            l1_clock[i] = cset.clock
-            l1_valid[i] = cset.valid_count
-        mod = self._l1_modified
-        mod[:] = bytes(len(mod))
-        llc_clock = self._llc_clock
-        llc_valid = self._llc_valid
-        mapped = self._llc_mapped
-        ctypes.memset(self._llc_mapped_addr, 0xFF, 8 * len(mapped))
-        for i, cset in enumerate(self._llc_sets):
-            llc_clock[i] = cset.clock
-            llc_valid[i] = cset.valid_count
-            base = i * W
-            for tag, way in cset.tag_map.items():
-                mapped[base + way] = tag
-        mod = self._llc_modified
-        mod[:] = bytes(len(mod))
-
         hierarchy = sim.hierarchy
         l1_occ = cols["l1_occ"]
         for ci in range(n):
@@ -631,19 +564,10 @@ class _Marshal:
 
         atds = policy._atds
         if atds:
-            nslots = self.nslots
-            stack_arr = self._atd_stack
-            len_arr = self._atd_len
             pos_arr = self._atd_pos_hits
             miss_arr = self._atd_misses
             acc_arr = self._atd_accesses
             for ci, atd in enumerate(atds):
-                for k, stack in enumerate(atd._stacks.values()):
-                    slot = ci * nslots + k
-                    base = slot * W
-                    len_arr[slot] = len(stack)
-                    for j, tag in enumerate(stack):
-                        stack_arr[base + j] = tag
                 base = ci * W
                 for j, hits in enumerate(atd.position_hits):
                     pos_arr[base + j] = hits
@@ -708,7 +632,6 @@ class _Marshal:
         recv_ways = self._coop_recv_ways
         vec_bits = self._coop_vec_bits
         vec_count = self._coop_vec_count
-        self._span_keep.clear()
         self._span_donors = donors = []
         for ci in range(n):
             ways = engine._donor_ways.get(ci, ())
@@ -737,7 +660,7 @@ class _Marshal:
                 vec_bits[ci] = 0
                 vec_count[ci] = 0
             else:
-                vec_bits[ci] = _pin(vector.bits, self._span_keep)
+                vec_bits[ci] = _addr(vector.bits)
                 vec_count[ci] = vector.set_count
                 donors.append(ci)
 
@@ -790,32 +713,6 @@ class _Marshal:
             core.cycle_base = c_cbase[ci]
             core.frozen_instructions = c_finstr[ci]
             core.frozen_cycles = c_fcycles[ci]
-
-        l1_clock = self._l1_clock
-        l1_valid = self._l1_valid
-        l1_mod = self._l1_modified
-        for i, cset in enumerate(self._l1_sets):
-            cset.clock = l1_clock[i]
-            if l1_mod[i]:
-                cset.valid_count = l1_valid[i]
-                tags = cset.tags
-                cset.tag_map = {
-                    tags[w]: w for w in range(cset.ways)
-                    if tags[w] != _NO_TAG
-                }
-        llc_clock = self._llc_clock
-        llc_valid = self._llc_valid
-        llc_mod = self._llc_modified
-        mapped = self._llc_mapped
-        for i, cset in enumerate(self._llc_sets):
-            cset.clock = llc_clock[i]
-            if llc_mod[i]:
-                cset.valid_count = llc_valid[i]
-                base = i * W
-                cset.tag_map = {
-                    mapped[base + w]: w for w in range(W)
-                    if mapped[base + w] != _NO_TAG
-                }
 
         hierarchy = sim.hierarchy
         l1_occ = cols["l1_occ"]
@@ -876,17 +773,10 @@ class _Marshal:
         policy = sim.policy
         atds = policy._atds
         if atds:
-            nslots = self.nslots
-            stack_arr = self._atd_stack
-            len_arr = self._atd_len
             pos_arr = self._atd_pos_hits
             miss_arr = self._atd_misses
             acc_arr = self._atd_accesses
             for ci, atd in enumerate(atds):
-                for k, stack in enumerate(atd._stacks.values()):
-                    slot = ci * nslots + k
-                    base = slot * W
-                    stack[:] = stack_arr[base:base + len_arr[slot]]
                 base = ci * W
                 hits = atd.position_hits
                 for j in range(W):
@@ -909,7 +799,6 @@ class _Marshal:
             vec_count = self._coop_vec_count
             for ci in self._span_donors:
                 engine.vectors[ci].set_count = vec_count[ci]
-            self._span_keep.clear()
 
 
 # ----------------------------------------------------------------------
@@ -942,10 +831,12 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
     set_index = address & sim._l1_mask
     tag = address >> sim._l1_shift
     cset = core.l1_sets[set_index]
-    way = cset.tag_map.get(tag, -1)
-    if way >= 0:
-        cset.stamp[way] = cset.clock
-        cset.clock += 1
+    tags = cset.tags
+    if tag in tags:
+        way = tags.index(tag)
+        recency = cset.clock
+        cset.stamp[way] = recency[0]
+        recency[0] += 1
         if is_write:
             cset.dirty[way] = 1
         sim.hierarchy.l1_hits[core.core_id] += 1
@@ -984,8 +875,7 @@ def run_compiled(sim):
     """Run ``sim`` on the C kernel; bit-identical to the Python loop.
 
     Falls back to the pure-Python engine when the policy's access path
-    is not one the kernel models (the scalar loop is the fastest
-    portable tier on this corpus's short L1 hit runs).
+    is not one the kernel models.
     """
     kind = policy_kind(sim.policy)
     if kind is None:

@@ -29,6 +29,11 @@
  * transfer-flush buckets, transition durations) are recorded into an
  * ordered event buffer the Python driver replays on span exit.
  *
+ * Cache-line and ATD state has one format, shared with Python: every
+ * per-set column (tags, mapped, stamp, owner, dirty), every recency
+ * clock and every ATD stack is the Python object's own array, reached
+ * through pointer tables built once per run and mutated in place.
+ *
  * The struct layout below is mirrored field-for-field by the ctypes
  * Structure in repro/engine/compiled.py; every field is 8 bytes wide
  * so the two cannot drift silently, and a canary word is checked at
@@ -85,7 +90,6 @@ typedef struct {
     i64 umon_mask;
     i64 umon_offset;
     i64 umon_shift;
-    i64 atd_nslots;
     i64 last_decision_cycle;  /* -1 = None */
     i64 l1_nsets;
     i64 l1_ways;
@@ -123,9 +127,7 @@ typedef struct {
     i64 **l1_stamp;
     i64 **l1_owner;
     uint8_t **l1_dirty;
-    i64 *l1_clock;
-    i64 *l1_valid;
-    uint8_t *l1_modified;
+    i64 **l1_clock;     /* per core: its L1's one recency counter */
     i64 *l1_occ;        /* per core */
     i64 *l1_hits;       /* per core */
     i64 *l1_misses;     /* per core */
@@ -136,10 +138,8 @@ typedef struct {
     i64 **llc_stamp;
     i64 **llc_owner;
     uint8_t **llc_dirty;
-    i64 *llc_clock;
-    i64 *llc_valid;
-    i64 *llc_mapped;   /* [set * ways + way] = tag mapping to way, -1 none */
-    uint8_t *llc_modified;
+    i64 *llc_clock;    /* the LLC's one recency counter */
+    i64 **llc_mapped;  /* [set][way] = tag whose newest copy is way, -1 none */
     i64 *llc_occ;      /* per core */
 
     /* ---- policy fast tables (per core) ---- */
@@ -184,8 +184,8 @@ typedef struct {
     i64 *dvfs_stall;   /* per core, in/out */
 
     /* ---- ATD (valid when has_monitors) ---- */
-    i64 *atd_stack;    /* [ (core * atd_nslots + slot) * llc_ways + k ] */
-    i64 *atd_len;      /* [core * atd_nslots + slot] */
+    i64 **atd_stack;   /* per core: [slot * llc_ways + k] */
+    i64 **atd_len;     /* per core: [slot] */
     i64 *atd_pos_hits; /* [core * llc_ways + k] */
     i64 *atd_misses;   /* per core */
     i64 *atd_accesses; /* per core */
@@ -333,9 +333,8 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
 {
     i64 W = c->llc_ways;
     i64 slot = set >> c->umon_shift;
-    i64 base = core * c->atd_nslots + slot;
-    i64 *stack = c->atd_stack + base * W;
-    i64 len = c->atd_len[base];
+    i64 *stack = c->atd_stack[core] + slot * W;
+    i64 len = c->atd_len[core][slot];
     c->atd_accesses[core]++;
     i64 pos = -1;
     for (i64 i = 0; i < len; i++) {
@@ -349,7 +348,7 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
         i64 nl = len < W ? len + 1 : W;
         memmove(stack + 1, stack, (size_t)(nl - 1) * sizeof(i64));
         stack[0] = tag;
-        c->atd_len[base] = nl;
+        c->atd_len[core][slot] = nl;
         return;
     }
     memmove(stack + 1, stack, (size_t)pos * sizeof(i64));
@@ -357,33 +356,34 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
     c->atd_pos_hits[core * W + pos]++;
 }
 
+/* Plain LRU over a whole set: the first invalid way, else the oldest
+ * stamp. */
+static i64 lru_victim(const i64 *tags, const i64 *stamp, i64 W)
+{
+    for (i64 w = 0; w < W; w++)
+        if (tags[w] == NO_TAG)
+            return w;
+    i64 best = 0;
+    i64 bs = stamp[0];
+    for (i64 w = 1; w < W; w++) {
+        if (stamp[w] < bs) {
+            bs = stamp[w];
+            best = w;
+        }
+    }
+    return best;
+}
+
 /* CacheSet.victim(ways): fc < 0 means "all ways" */
 static i64 set_victim(Ctx *c, i64 set, i64 fc, const i64 *fw)
 {
-    i64 W = c->llc_ways;
     i64 *tags = c->llc_tags[set];
     i64 *stamp = c->llc_stamp[set];
-    if (fc < 0) {
-        if (c->llc_valid[set] != W) {
-            for (i64 w = 0; w < W; w++)
-                if (tags[w] == NO_TAG)
-                    return w;
-        }
-        i64 best = 0;
-        i64 bs = stamp[0];
-        for (i64 w = 1; w < W; w++) {
-            if (stamp[w] < bs) {
-                bs = stamp[w];
-                best = w;
-            }
-        }
-        return best;
-    }
-    if (c->llc_valid[set] != W) {
-        for (i64 k = 0; k < fc; k++)
-            if (tags[fw[k]] == NO_TAG)
-                return fw[k];
-    }
+    if (fc < 0)
+        return lru_victim(tags, stamp, c->llc_ways);
+    for (i64 k = 0; k < fc; k++)
+        if (tags[fw[k]] == NO_TAG)
+            return fw[k];
     i64 best = -1;
     i64 bs = 0;
     for (i64 k = 0; k < fc; k++) {
@@ -402,12 +402,10 @@ static i64 ucp_select(Ctx *c, i64 core, i64 set, i64 fc, const i64 *fw)
     i64 W = c->llc_ways;
     i64 *tags = c->llc_tags[set];
     i64 n = fc < 0 ? W : fc;
-    if (c->llc_valid[set] != W) {
-        for (i64 k = 0; k < n; k++) {
-            i64 w = fc < 0 ? k : fw[k];
-            if (tags[w] == NO_TAG)
-                return w;
-        }
+    for (i64 k = 0; k < n; k++) {
+        i64 w = fc < 0 ? k : fw[k];
+        if (tags[w] == NO_TAG)
+            return w;
     }
     i64 *owner = c->llc_owner[set];
     i64 *stamp = c->llc_stamp[set];
@@ -521,7 +519,7 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 W = c->llc_ways;
     i64 set = addr & c->llc_set_mask;
     i64 tag = addr >> c->llc_set_shift;
-    i64 *mapped = c->llc_mapped + set * W;
+    i64 *mapped = c->llc_mapped[set];
     i64 pm = c->probe_mask[core];
     i64 np = c->probe_count[core];
     i64 way = -1;
@@ -558,7 +556,7 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 *tags = c->llc_tags[set];
     if (hit) {
         if (!c->pre_access_active || tags[way] == tag) {
-            c->llc_stamp[set][way] = c->llc_clock[set]++;
+            c->llc_stamp[set][way] = (*c->llc_clock)++;
             if (is_write) {
                 c->llc_dirty[set][way] = 1;
                 c->e_data_writes++;
@@ -603,15 +601,11 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     if (old_tag != NO_TAG) {
         evicted_dirty = dirty[victim];
         evicted_owner = owner[victim];
-        if (mapped[victim] == old_tag)
-            mapped[victim] = NO_TAG;
         if (evicted_owner >= 0)
             c->llc_occ[evicted_owner]--;
-    } else {
-        c->llc_valid[set]++;
     }
-    /* dict overwrite: clear a stale mapping of `tag` left in a way
-     * its owner no longer probes (tag_map[tag] = victim). */
+    /* Only the newest copy of a tag is mapped: clear the entry of an
+     * older copy left in a way its owner no longer probes. */
     for (i64 w = 0; w < W; w++) {
         if (mapped[w] == tag) {
             mapped[w] = NO_TAG;
@@ -622,10 +616,9 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     mapped[victim] = tag;
     dirty[victim] = is_write ? 1 : 0;
     owner[victim] = core;
-    c->llc_stamp[set][victim] = c->llc_clock[set]++;
+    c->llc_stamp[set][victim] = (*c->llc_clock)++;
     c->llc_occ[core]++;
     c->e_data_writes++;
-    c->llc_modified[set] = 1;
     if (evicted_dirty) {
         i64 vaddr = (old_tag << c->llc_set_shift) | set;
         i64 bank = (vaddr >> c->mem_bank_shift) % c->mem_nbanks;
@@ -640,6 +633,43 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     if (c->post_fill_active)
         ucp_post_fill(c, core, set, evicted_owner, evicted_dirty, now);
     return memory_latency;
+}
+
+/* The L1 probe: full-width, so a scan of the tags (an L1 never holds
+ * two copies of a tag).  Returns the way, or -1 on a miss. */
+static i64 l1_find(Ctx *c, i64 sidx, i64 ltag)
+{
+    i64 *ltags = c->l1_tags[sidx];
+    for (i64 w = 0; w < c->l1_ways; w++)
+        if (ltags[w] == ltag)
+            return w;
+    return -1;
+}
+
+/* The L1 miss path after the LLC fetch (CMPSimulator._l1_miss): LRU
+ * fill of `ltag`, then the dirty victim's writeback through the LLC.
+ * Returns 0, or -1 on an internal error. */
+static i64 l1_fill(Ctx *c, i64 ci, i64 sidx, i64 lset, i64 ltag, int is_write,
+                   i64 now)
+{
+    i64 *ltags = c->l1_tags[sidx];
+    i64 victim = lru_victim(ltags, c->l1_stamp[sidx], c->l1_ways);
+    i64 old_tag = ltags[victim];
+    i64 evicted_dirty = 0;
+    if (old_tag != NO_TAG)
+        evicted_dirty = c->l1_dirty[sidx][victim];
+    else
+        c->l1_occ[ci]++;
+    ltags[victim] = ltag;
+    c->l1_dirty[sidx][victim] = is_write ? 1 : 0;
+    c->l1_owner[sidx][victim] = ci;
+    c->l1_stamp[sidx][victim] = c->l1_clock[ci][0]++;
+    if (evicted_dirty) {
+        c->l1_writebacks[ci]++;
+        if (llc_access(c, ci, (old_tag << c->l1_shift) | lset, 1, now) < 0)
+            return -1;
+    }
+    return 0;
 }
 
 /* Would this access complete a takeover vector?  A completion must be
@@ -661,26 +691,7 @@ static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 sidx, i64 lset)
      * choice is deterministic, so compute it read-only. */
     i64 s2 = -1;
     i64 *ltags = c->l1_tags[sidx];
-    i64 victim = -1;
-    if (c->l1_valid[sidx] != c->l1_ways) {
-        for (i64 w = 0; w < c->l1_ways; w++) {
-            if (ltags[w] == NO_TAG) {
-                victim = w;
-                break;
-            }
-        }
-    }
-    if (victim < 0) {
-        i64 *st = c->l1_stamp[sidx];
-        i64 bs = st[0];
-        victim = 0;
-        for (i64 w = 1; w < c->l1_ways; w++) {
-            if (st[w] < bs) {
-                bs = st[w];
-                victim = w;
-            }
-        }
-    }
+    i64 victim = lru_victim(ltags, c->l1_stamp[sidx], c->l1_ways);
     if (ltags[victim] != NO_TAG && c->l1_dirty[sidx][victim])
         s2 = ((ltags[victim] << c->l1_shift) | lset) & c->llc_set_mask;
 
@@ -753,16 +764,9 @@ i64 repro_run_span(Ctx *c)
         i64 lset = addr & c->l1_mask;
         i64 ltag = addr >> c->l1_shift;
         i64 sidx = ci * c->l1_nsets + lset;
-        i64 *ltags = c->l1_tags[sidx];
-        i64 lway = -1;
-        for (i64 w = 0; w < c->l1_ways; w++) {
-            if (ltags[w] == ltag) {
-                lway = w;
-                break;
-            }
-        }
+        i64 lway = l1_find(c, sidx, ltag);
         if (lway >= 0) {
-            c->l1_stamp[sidx][lway] = c->l1_clock[sidx]++;
+            c->l1_stamp[sidx][lway] = c->l1_clock[ci][0]++;
             if (is_write)
                 c->l1_dirty[sidx][lway] = 1;
             c->l1_hits[ci]++;
@@ -776,48 +780,9 @@ i64 repro_run_span(Ctx *c)
             }
             c->l1_misses[ci]++;
             i64 mem_lat = llc_access(c, ci, addr, 0, issue_time);
-            if (mem_lat < 0)
+            if (mem_lat < 0 ||
+                l1_fill(c, ci, sidx, lset, ltag, (int)is_write, issue_time) < 0)
                 return ST_ERROR;
-            /* L1 victim: plain LRU over the full set. */
-            i64 victim = -1;
-            if (c->l1_valid[sidx] != c->l1_ways) {
-                for (i64 w = 0; w < c->l1_ways; w++) {
-                    if (ltags[w] == NO_TAG) {
-                        victim = w;
-                        break;
-                    }
-                }
-            }
-            if (victim < 0) {
-                i64 *st = c->l1_stamp[sidx];
-                i64 bs = st[0];
-                victim = 0;
-                for (i64 w = 1; w < c->l1_ways; w++) {
-                    if (st[w] < bs) {
-                        bs = st[w];
-                        victim = w;
-                    }
-                }
-            }
-            i64 old_tag = ltags[victim];
-            i64 evicted_dirty = 0;
-            if (old_tag != NO_TAG) {
-                evicted_dirty = c->l1_dirty[sidx][victim];
-            } else {
-                c->l1_valid[sidx]++;
-                c->l1_occ[ci]++;
-            }
-            ltags[victim] = ltag;
-            c->l1_dirty[sidx][victim] = is_write ? 1 : 0;
-            c->l1_owner[sidx][victim] = ci;
-            c->l1_stamp[sidx][victim] = c->l1_clock[sidx]++;
-            c->l1_modified[sidx] = 1;
-            if (evicted_dirty) {
-                c->l1_writebacks[ci]++;
-                if (llc_access(c, ci, (old_tag << c->l1_shift) | lset, 1,
-                               issue_time) < 0)
-                    return ST_ERROR;
-            }
             c->core_time[ci] = issue_time + miss_base + mem_lat;
             if (c->has_dvfs)
                 c->dvfs_stall[ci] += c->l2_latency + mem_lat;
@@ -886,16 +851,9 @@ i64 repro_warm_sweep(Ctx *c)
             i64 lset = addr & c->l1_mask;
             i64 ltag = addr >> c->l1_shift;
             i64 sidx = ci * c->l1_nsets + lset;
-            i64 *ltags = c->l1_tags[sidx];
-            i64 lway = -1;
-            for (i64 w = 0; w < c->l1_ways; w++) {
-                if (ltags[w] == ltag) {
-                    lway = w;
-                    break;
-                }
-            }
+            i64 lway = l1_find(c, sidx, ltag);
             if (lway >= 0) {
-                c->l1_stamp[sidx][lway] = c->l1_clock[sidx]++;
+                c->l1_stamp[sidx][lway] = c->l1_clock[ci][0]++;
                 c->l1_hits[ci]++;
                 c->core_time[ci] = now +
                     (c->has_dvfs ? c->dvfs_entries[ci * 4 + 2]
@@ -911,47 +869,8 @@ i64 repro_warm_sweep(Ctx *c)
             }
             c->l1_misses[ci]++;
             i64 mem_lat = llc_access(c, ci, addr, 0, now);
-            if (mem_lat < 0)
+            if (mem_lat < 0 || l1_fill(c, ci, sidx, lset, ltag, 0, now) < 0)
                 return ST_ERROR;
-            i64 victim = -1;
-            if (c->l1_valid[sidx] != c->l1_ways) {
-                for (i64 w = 0; w < c->l1_ways; w++) {
-                    if (ltags[w] == NO_TAG) {
-                        victim = w;
-                        break;
-                    }
-                }
-            }
-            if (victim < 0) {
-                i64 *st = c->l1_stamp[sidx];
-                i64 bs = st[0];
-                victim = 0;
-                for (i64 w = 1; w < c->l1_ways; w++) {
-                    if (st[w] < bs) {
-                        bs = st[w];
-                        victim = w;
-                    }
-                }
-            }
-            i64 old_tag = ltags[victim];
-            i64 evicted_dirty = 0;
-            if (old_tag != NO_TAG) {
-                evicted_dirty = c->l1_dirty[sidx][victim];
-            } else {
-                c->l1_valid[sidx]++;
-                c->l1_occ[ci]++;
-            }
-            ltags[victim] = ltag;
-            c->l1_dirty[sidx][victim] = 0;
-            c->l1_owner[sidx][victim] = ci;
-            c->l1_stamp[sidx][victim] = c->l1_clock[sidx]++;
-            c->l1_modified[sidx] = 1;
-            if (evicted_dirty) {
-                c->l1_writebacks[ci]++;
-                if (llc_access(c, ci, (old_tag << c->l1_shift) | lset, 1,
-                               now) < 0)
-                    return ST_ERROR;
-            }
             if (!c->has_dvfs) {
                 c->core_time[ci] = now + c->miss_latency + mem_lat;
             } else {

@@ -2,13 +2,20 @@
 
 The ATD simulates, for one core, a cache with the LLC's full
 associativity dedicated entirely to that core.  Each sampled set keeps
-an LRU-ordered list of tags; a hit at stack position ``p`` means the
+an LRU-ordered stack of tags; a hit at stack position ``p`` means the
 access would have hit had the core owned at least ``p + 1`` ways
 (Mattson's stack-inclusion property), so one counter per position is
 all that is needed to recover the full miss curve.
+
+The stacks live in one flat ``array('q')`` (``ways`` entries per
+sampled set, MRU first) plus an ``array('q')`` of stack depths, which
+the compiled kernel updates in place.  A set's slot is its position in
+``sampled_set_indices``.
 """
 
 from __future__ import annotations
+
+from array import array
 
 
 class AuxiliaryTagDirectory:
@@ -18,8 +25,12 @@ class AuxiliaryTagDirectory:
         if ways <= 0:
             raise ValueError(f"ways must be positive, got {ways}")
         self.ways = ways
-        #: map from real set index to this directory's stack
-        self._stacks: dict[int, list[int]] = {s: [] for s in sampled_set_indices}
+        #: map from real set index to its slot
+        self._slots = {s: k for k, s in enumerate(sampled_set_indices)}
+        n_slots = len(sampled_set_indices)
+        #: slot ``k``'s stack is ``stack[k * ways:k * ways + depth[k]]``
+        self.stack = array("q", bytes(8 * n_slots * ways))
+        self.depth = array("q", bytes(8 * n_slots))
         #: hits seen at each LRU stack position (0 = MRU)
         self.position_hits = [0] * ways
         #: accesses that missed even with full associativity
@@ -31,23 +42,26 @@ class AuxiliaryTagDirectory:
         """Record an access; returns the hit position or -1 for a miss.
 
         The caller has already established that ``set_index`` is
-        sampled (so the hot path pays the dictionary lookup only for
+        sampled (so the hot path pays the slot lookup only for
         monitored sets).
         """
-        stack = self._stacks[set_index]
+        slot = self._slots[set_index]
+        base = slot * self.ways
+        depth = self.depth[slot]
+        stack = self.stack
+        current = stack[base:base + depth]
         self.accesses += 1
-        # Membership test first: both scans run at C speed over a
-        # stack of at most `ways` tags, and the miss path (common for
-        # streaming workloads) never pays exception dispatch.
-        if tag not in stack:
+        if tag not in current:
             self.misses += 1
-            stack.insert(0, tag)
-            if len(stack) > self.ways:
-                stack.pop()
+            if depth < self.ways:
+                self.depth[slot] = depth + 1
+                depth += 1
+            stack[base + 1:base + depth] = current[:depth - 1]
+            stack[base] = tag
             return -1
-        position = stack.index(tag)
-        del stack[position]
-        stack.insert(0, tag)
+        position = current.index(tag)
+        stack[base + 1:base + position + 1] = current[:position]
+        stack[base] = tag
         self.position_hits[position] += 1
         return position
 

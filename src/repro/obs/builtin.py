@@ -27,12 +27,6 @@ ENGINE_EPOCHS = counter(
     "repro_engine_epochs_total",
     help="Partitioning epochs executed across all runs.",
 )
-BATCHED_HIT_RUN_REFS = histogram(
-    "repro_batched_hit_run_refs",
-    help="References retired per batched-engine L1 hit run.",
-    unit="refs",
-    buckets=SIZE_BUCKETS,
-)
 KERNEL_SPAN_REFS = histogram(
     "repro_kernel_span_refs",
     help="References retired per compiled-kernel span.",

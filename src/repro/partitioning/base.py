@@ -13,8 +13,8 @@ allocation-free inner loop: one flat function, no result objects, no
 per-access hook calls.  The way restrictions are *data*, not code —
 per-core tuples plus precomputed way-membership bitmasks
 (``_probe_masks``) that the built-in schemes keep in sync with their
-partitions — so a probe is a ``tag_map`` dict lookup and one mask
-test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
+partitions — so a probe is a scan of the set's ``mapped`` column and
+one mask test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
 remain fully supported: a subclass that overrides them (and does not
 declare ``_ways_are_tabled``) is transparently routed through a
 compatibility path that calls them per access, exactly as before.
@@ -348,11 +348,12 @@ class BaseSharedCachePolicy:
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
         cset = self._sets[set_index]
-        tag_map = cset.tag_map
+        mapped = cset.mapped
         probe_mask, n_probed, fill_ways = self._core_tables[core]
-        way = tag_map.get(tag, -1)
-        if way >= 0 and not (probe_mask >> way) & 1:
-            way = -1
+        # the newest copy of ``tag`` (the only mapped one), which this
+        # core hits only when its probe covers that way
+        copy = mapped.index(tag) if tag in mapped else -1
+        way = copy if copy >= 0 and (probe_mask >> copy) & 1 else -1
         hit = way >= 0
 
         energy = self.energy
@@ -380,8 +381,9 @@ class BaseSharedCachePolicy:
             # power-gating completion invalidated the hit way), so
             # re-check before touching.
             if not pre_access or cset.tags[way] == tag:
-                cset.stamp[way] = cset.clock
-                cset.clock += 1
+                clock = cset.clock
+                cset.stamp[way] = clock[0]
+                clock[0] += 1
                 if is_write:
                     cset.dirty[way] = 1
                     energy.data_writes += 1
@@ -410,16 +412,13 @@ class BaseSharedCachePolicy:
         else:
             victim_way = -1
             if fill_ways is None:
-                if cset.valid_count != cset.ways:
-                    for candidate in range(cset.ways):
-                        if tags[candidate] == NO_TAG:
-                            victim_way = candidate
-                            break
-                if victim_way < 0:
+                if NO_TAG in tags:
+                    victim_way = tags.index(NO_TAG)
+                else:
                     stamp = cset.stamp
                     victim_way = stamp.index(min(stamp))
             else:
-                if cset.valid_count != cset.ways:
+                if NO_TAG in tags:
                     for candidate in fill_ways:
                         if tags[candidate] == NO_TAG:
                             victim_way = candidate
@@ -437,25 +436,27 @@ class BaseSharedCachePolicy:
 
         # Inline fill (keep in sync with SetAssociativeCache.fill).
         old_tag = tags[victim_way]
-        tag_map = cset.tag_map
         occ = self._occ
         if old_tag != NO_TAG:
             evicted_dirty = cset.dirty[victim_way]
             evicted_owner = cset.owner[victim_way]
-            if tag_map.get(old_tag) == victim_way:
-                del tag_map[old_tag]
             if evicted_owner >= 0:
                 occ[evicted_owner] -= 1
         else:
             evicted_dirty = 0
             evicted_owner = -1
-            cset.valid_count += 1
+        if copy >= 0:
+            # The copy the probe could not see stays in its way but is
+            # no longer the newest.  (The pre-access hook never installs
+            # a line, so ``copy`` is still current.)
+            mapped[copy] = NO_TAG
         tags[victim_way] = tag
-        tag_map[tag] = victim_way
+        mapped[victim_way] = tag
         cset.dirty[victim_way] = 1 if is_write else 0
         cset.owner[victim_way] = core
-        cset.stamp[victim_way] = cset.clock
-        cset.clock += 1
+        clock = cset.clock
+        cset.stamp[victim_way] = clock[0]
+        clock[0] += 1
         occ[core] += 1
         energy.data_writes += 1
         if evicted_dirty:

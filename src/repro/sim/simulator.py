@@ -46,10 +46,10 @@ Hot-path notes.  ``run`` is written for throughput and is
 allocation-free per reference: the next core comes from a two-way
 compare (2 cores), a plain read (1 core) or a heap (3+; always a heap
 when the schedule is dynamic, since membership changes mid-run); the
-L1 lookup is inlined (a ``tag_map`` dict probe plus a stamp store on a
-hit — the overwhelmingly common case never enters another frame); L1
-misses take one call into :meth:`_l1_miss`, which drives the LLC
-policy's ``access_fast`` and performs the L1 fill inline.  The same
+L1 lookup is inlined (a scan of the set's tags plus a stamp store on a
+hit — the hit path never enters another frame); L1 misses take one
+call into :meth:`_l1_miss`, which drives the LLC policy's
+``access_fast`` and performs the L1 fill inline.  The same
 state is reachable through :meth:`CacheHierarchy.access` for tests
 and API users — both paths mutate identical structures in the same
 order, so they are interchangeable mid-run.
@@ -293,23 +293,18 @@ class CMPSimulator:
         """Execute the run protocol and return the collected results.
 
         ``engine`` picks the execution backend: ``"python"`` (the
-        reference scalar loop below), ``"batched"`` (numpy hit-run
-        batching), ``"compiled"`` (the C kernel) or ``"auto"``/``None``
-        (fastest available, overridable via ``$REPRO_ENGINE``).  Every
-        backend produces a bit-identical :class:`RunResult` — the
-        golden suite pins all of them against the same fixtures.
+        reference scalar loop below), ``"compiled"`` (the C kernel) or
+        ``"auto"``/``None`` (fastest available, overridable via
+        ``$REPRO_ENGINE``).  Both backends produce a bit-identical
+        :class:`RunResult` — the golden suite pins them against the
+        same fixtures.
         """
-        from repro.engine import BATCHED, COMPILED, resolve_engine
+        from repro.engine import COMPILED, resolve_engine
 
-        name = resolve_engine(engine)
-        if name == COMPILED:
+        if resolve_engine(engine) == COMPILED:
             from repro.engine.compiled import run_compiled
 
             return run_compiled(self)
-        if name == BATCHED:
-            from repro.engine.batched import run_batched
-
-            return run_batched(self)
         return self._run_python()
 
     # ------------------------------------------------------------------
@@ -540,18 +535,14 @@ class CMPSimulator:
         l1_shift = self._l1_shift
         l1_latency = self.hierarchy.l1_latency
         l1_hits = self.hierarchy.l1_hits
-        l1_misses = self._l1_misses
-        l1_writebacks = self._l1_writebacks
-        policy_access = self._policy_access
-        miss_latency = self._miss_latency
+        l1_miss = self._l1_miss
         # DVFS bindings: with a governor, core-clock work is scaled by
-        # the per-core timing rows and LLC+memory stall is accumulated
-        # for the governors' slowdown model.  Without one these stay
-        # None and every expression below is the historical arithmetic.
+        # the per-core timing rows (and _l1_miss accumulates LLC+memory
+        # stall for the governors' slowdown model).  Without one this
+        # stays None and every expression below is the historical
+        # arithmetic.
         dvfs = self.dvfs
         dvfs_entries = dvfs.entries if dvfs is not None else None
-        dvfs_stall = dvfs.stall if dvfs is not None else None
-        l2_latency = self.config.l2_latency
 
         events = self._pending_events
         event_index = 0
@@ -620,73 +611,34 @@ class CMPSimulator:
             if dvfs_entries is None:
                 issue_time = now + (gap >> issue_shift)
                 hit_latency = l1_latency
-                miss_base = miss_latency
             else:
                 # Core-clock work stretches by num/den; the LLC keeps
-                # its own clock (the l2 term inside miss_base and the
-                # memory latency below are nominal cycles).
+                # its own clock (_l1_miss charges nominal l2 and memory
+                # cycles).
                 entry = dvfs_entries[core.core_id]
                 issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
                 hit_latency = entry[2]
-                miss_base = entry[3]
 
             # Inlined L1 lookup — the hit path touches three integers
             # and returns to the scheduler without another frame.
             set_index = address & l1_mask
             tag = address >> l1_shift
             cset = core.l1_sets[set_index]
-            way = cset.tag_map.get(tag, -1)
-            if way >= 0:
-                cset.stamp[way] = cset.clock
-                cset.clock += 1
+            tags = cset.tags
+            if tag in tags:
+                way = tags.index(tag)
+                recency = cset.clock
+                cset.stamp[way] = recency[0]
+                recency[0] += 1
                 if is_write:
                     cset.dirty[way] = 1
                 l1_hits[core.core_id] += 1
                 core.time = issue_time + hit_latency
             else:
-                # Inlined L1 miss path — a verbatim copy of _l1_miss
-                # (worth one frame per miss at this call frequency).
-                # Any edit must be applied to BOTH copies; the golden
-                # suite (tests/golden/) catches divergence, since
-                # _prewarm drives _l1_miss and this loop drives the
-                # inline copy within the same pinned runs.
-                core_id = core.core_id
-                l1_misses[core_id] += 1
-                memory_latency = policy_access(core_id, address, False, issue_time)
-                tags = cset.tags
-                victim_way = -1
-                if cset.valid_count != cset.ways:
-                    for candidate in range(cset.ways):
-                        if tags[candidate] == NO_TAG:
-                            victim_way = candidate
-                            break
-                if victim_way < 0:
-                    stamp = cset.stamp
-                    victim_way = stamp.index(min(stamp))
-                old_tag = tags[victim_way]
-                tag_map = cset.tag_map
-                evicted_dirty = 0
-                if old_tag != NO_TAG:
-                    evicted_dirty = cset.dirty[victim_way]
-                    if tag_map.get(old_tag) == victim_way:
-                        del tag_map[old_tag]
-                else:
-                    cset.valid_count += 1
-                    self.hierarchy.l1[core_id].core_occupancy[core_id] += 1
-                tags[victim_way] = tag
-                tag_map[tag] = victim_way
-                cset.dirty[victim_way] = 1 if is_write else 0
-                cset.owner[victim_way] = core_id
-                cset.stamp[victim_way] = cset.clock
-                cset.clock += 1
-                if evicted_dirty:
-                    l1_writebacks[core_id] += 1
-                    policy_access(
-                        core_id, (old_tag << l1_shift) | set_index, True, issue_time
-                    )
-                core.time = issue_time + miss_base + memory_latency
-                if dvfs_stall is not None:
-                    dvfs_stall[core_id] += l2_latency + memory_latency
+                core.time = issue_time + l1_miss(
+                    core.core_id, address, is_write, issue_time,
+                    cset, set_index, tag,
+                )
             core.instructions += gap + 1
             position += 1
             core.position = 0 if position == core.length else position
@@ -817,33 +769,26 @@ class CMPSimulator:
 
         # Choose the L1 victim (plain LRU over the full set).
         tags = cset.tags
-        victim_way = -1
-        if cset.valid_count != cset.ways:
-            for candidate in range(cset.ways):
-                if tags[candidate] == NO_TAG:
-                    victim_way = candidate
-                    break
-        if victim_way < 0:
+        if NO_TAG in tags:
+            victim_way = tags.index(NO_TAG)
+        else:
             stamp = cset.stamp
             victim_way = stamp.index(min(stamp))
 
-        # Inlined L1 fill.
+        # Inlined L1 fill.  Full-width L1 probes never leave a
+        # duplicate tag, so the L1 never consults ``mapped``.
         old_tag = tags[victim_way]
-        tag_map = cset.tag_map
         evicted_dirty = 0
         if old_tag != NO_TAG:
             evicted_dirty = cset.dirty[victim_way]
-            if tag_map.get(old_tag) == victim_way:
-                del tag_map[old_tag]
         else:
-            cset.valid_count += 1
             self.hierarchy.l1[core_id].core_occupancy[core_id] += 1
         tags[victim_way] = tag
-        tag_map[tag] = victim_way
         cset.dirty[victim_way] = 1 if is_write else 0
         cset.owner[victim_way] = core_id
-        cset.stamp[victim_way] = cset.clock
-        cset.clock += 1
+        clock = cset.clock
+        cset.stamp[victim_way] = clock[0]
+        clock[0] += 1
 
         if evicted_dirty:
             victim_address = (old_tag << self._l1_shift) | set_index
@@ -911,16 +856,18 @@ class CMPSimulator:
         constants so per-line cost stays flat)."""
         now = core.time
         cset = core.l1_sets[address & l1_mask]
-        way = cset.tag_map.get(address >> l1_shift, -1)
-        if way >= 0:
-            cset.stamp[way] = cset.clock
-            cset.clock += 1
+        tag = address >> l1_shift
+        tags = cset.tags
+        if tag in tags:
+            clock = cset.clock
+            cset.stamp[tags.index(tag)] = clock[0]
+            clock[0] += 1
             l1_hits[core.core_id] += 1
             core.time = now + l1_latency
         else:
             core.time = now + miss(
                 core.core_id, address, False, now,
-                cset, address & l1_mask, address >> l1_shift,
+                cset, address & l1_mask, tag,
             )
 
     def _run_epoch(self, now: int) -> bool:

@@ -6,8 +6,8 @@ corpus schedules with governors.  Every engine available on this
 machine must reproduce the pure-Python reference RunResult
 bit-for-bit — per-core counters, energy integrals, flush timelines,
 V/f trajectories and the full per-epoch timeline included.  A machine
-without numpy or a C toolchain simply has fewer engines to compare
-(and the suite still proves the python fallback runs the corpus).
+without a C toolchain simply has no other engine to compare (and the
+suite still proves the python fallback runs the corpus).
 """
 
 import pytest
@@ -140,3 +140,46 @@ def test_arrivals_mid_takeover_warm_in_the_kernel(
     # the resume path was exercised rather than a sweep that never met
     # an in-flight takeover.
     assert bailed_lines, f"{name}: no warm line completed a takeover"
+
+
+#: corpus cells whose restricted probes leave stale duplicate copies of
+#: a tag in the LLC (a valid way whose ``mapped`` entry is not its tag)
+DUPLICATE_COPIES = [
+    ("diurnal-2c-s004", "fair_share"),
+    ("sparse-4c-s004", "cooperative"),
+]
+
+
+def _run_keeping_llc(name, policy, engine):
+    """One corpus cell on ``engine``; its serialized result and the
+    simulator's LLC sets."""
+    entry = corpus_scenario(name)
+    config = corpus_config(entry.n_cores)
+    runner = ExperimentRunner()
+    sim = CMPSimulator.for_scenario(
+        config,
+        entry.scenario,
+        policy,
+        lambda benchmark: runner.trace_for(benchmark, config),
+        collect_timeline=True,
+    )
+    return run_result_to_dict(sim.run(engine)), sim.cache.sets
+
+
+@pytest.mark.skipif(not _COMPILED_AVAILABLE, reason="no compiled engine")
+@pytest.mark.parametrize("name,policy", DUPLICATE_COPIES)
+def test_stale_duplicates_agree_across_engines(name, policy):
+    expected, python_sets = _run_keeping_llc(name, policy, PYTHON)
+    actual, compiled_sets = _run_keeping_llc(name, policy, COMPILED)
+    mismatches = diff_payloads(expected, actual)
+    assert not mismatches, "\n  ".join(mismatches[:20])
+    stale = 0
+    for mine, theirs in zip(python_sets, compiled_sets):
+        for column in ("tags", "mapped", "stamp", "owner", "dirty"):
+            assert getattr(mine, column) == getattr(theirs, column), column
+        stale += sum(
+            1 for way in range(mine.ways)
+            if mine.tags[way] != -1 and mine.mapped[way] != mine.tags[way]
+        )
+    # Guard the guard: the run really left stale copies behind.
+    assert stale, f"{name}/{policy}: no stale duplicate copy at run end"

@@ -6,7 +6,6 @@ import pytest
 import repro.engine as engine_mod
 from repro.engine import (
     AUTO,
-    BATCHED,
     COMPILED,
     PYTHON,
     EngineUnavailableError,
@@ -39,18 +38,19 @@ def test_explicit_argument_beats_the_env_var(monkeypatch):
     assert resolve_engine(first) == first
 
 
-def test_unknown_engine_is_an_error():
+def test_unknown_engine_is_an_error(monkeypatch):
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("fortran")
+    # the removed numpy tier is just another unknown name
+    monkeypatch.setenv("REPRO_ENGINE", "batched")
+    with pytest.raises(ValueError, match="unknown engine 'batched'"):
+        resolve_engine(None)
 
 
 def test_explicit_unavailable_engine_raises(monkeypatch):
-    # Simulate a bare machine: the availability probes are cached in
-    # module globals, so pinning them models "no numpy, no compiler".
-    monkeypatch.setattr(engine_mod, "_numpy_available", False)
+    # Simulate a bare machine: the availability probe is cached in a
+    # module global, so pinning it models "no compiler".
     monkeypatch.setattr(engine_mod, "_compiled_available", False)
-    with pytest.raises(EngineUnavailableError):
-        resolve_engine(BATCHED)
     with pytest.raises(EngineUnavailableError):
         resolve_engine(COMPILED)
     # ``auto`` degrades silently instead — that is its contract.

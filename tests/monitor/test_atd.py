@@ -90,3 +90,53 @@ def test_atd_matches_fully_associative_lru_simulation(tags):
         stack.insert(0, tag)
         del stack[ways:]
     assert atd.hits_for_ways(ways) == expected_hits
+
+
+class _DictOfListsATD:
+    """The ATD's former layout — one Python list per sampled set in a
+    dict — kept as the oracle for the flat stack arrays."""
+
+    def __init__(self, ways: int, sampled_set_indices: list[int]) -> None:
+        self.ways = ways
+        self.stacks: dict[int, list[int]] = {s: [] for s in sampled_set_indices}
+        self.position_hits = [0] * ways
+        self.misses = 0
+        self.accesses = 0
+
+    def record(self, set_index: int, tag: int) -> int:
+        stack = self.stacks[set_index]
+        self.accesses += 1
+        if tag not in stack:
+            self.misses += 1
+            stack.insert(0, tag)
+            if len(stack) > self.ways:
+                stack.pop()
+            return -1
+        position = stack.index(tag)
+        del stack[position]
+        stack.insert(0, tag)
+        self.position_hits[position] += 1
+        return position
+
+
+@given(
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20)), max_size=400),
+)
+def test_flat_stacks_match_the_dict_of_lists_oracle(ways, stream):
+    """Random streams over several sampled sets — with more distinct
+    tags per set than ways — give the same return values, counters
+    and stacks in both layouts."""
+    sampled = [1, 5, 9, 13]
+    flat = AuxiliaryTagDirectory(ways, sampled)
+    oracle = _DictOfListsATD(ways, sampled)
+    for slot, tag in stream:
+        set_index = sampled[slot]
+        assert flat.record(set_index, tag) == oracle.record(set_index, tag)
+    assert flat.position_hits == oracle.position_hits
+    assert flat.misses == oracle.misses
+    assert flat.accesses == oracle.accesses
+    for slot, set_index in enumerate(sampled):
+        base = slot * ways
+        depth = flat.depth[slot]
+        assert list(flat.stack[base:base + depth]) == oracle.stacks[set_index]

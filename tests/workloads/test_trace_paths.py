@@ -10,7 +10,7 @@ against each other on every profile.
 
 import pytest
 
-from repro.engine import compiled_available, numpy_available
+from repro.engine import compiled_available
 from repro.sim.config import scaled_four_core, scaled_two_core
 from repro.workloads import trace as trace_module
 from repro.workloads.profiles import BENCHMARK_PROFILES
@@ -18,11 +18,11 @@ from repro.workloads.trace import generate_trace
 
 #: (kernel loops, numpy) per path; the scalar path is the reference
 PATHS = {"scalar": (False, False)}
-if numpy_available():
+if trace_module._np is not None:
     PATHS["numpy"] = (False, True)
 if compiled_available():
     PATHS["kernel-scalar"] = (True, False)
-    if numpy_available():
+    if trace_module._np is not None:
         PATHS["kernel-numpy"] = (True, True)
 
 GEOMETRIES = {"2core": scaled_two_core(), "4core": scaled_four_core()}
