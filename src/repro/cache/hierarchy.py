@@ -15,6 +15,7 @@ the paper (all evaluated quantities are LLC-derived).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -74,9 +75,11 @@ class CacheHierarchy:
         self.l2_latency = l2_latency
         self.llc_policy = llc_policy
         self.l1 = [SetAssociativeCache(l1_geometry) for _ in range(n_cores)]
-        self.l1_hits = [0] * n_cores
-        self.l1_misses = [0] * n_cores
-        self.l1_writebacks = [0] * n_cores
+        # Per-core counters: arrays zeroed in place, never rebound
+        # (the compiled kernel points at them for a whole run).
+        self.l1_hits = array("q", bytes(8 * n_cores))
+        self.l1_misses = array("q", bytes(8 * n_cores))
+        self.l1_writebacks = array("q", bytes(8 * n_cores))
 
     def access(self, core: int, line_address: int, is_write: bool, now: int) -> HierarchyAccess:
         """Issue one data reference from ``core`` at cycle ``now``."""

@@ -64,17 +64,19 @@ class SetAssociativeCache:
         ]
         #: valid lines per owning core, maintained incrementally;
         #: grown on demand (owner ids are small non-negative ints)
-        self.core_occupancy: list[int] = []
+        self.core_occupancy = array("q")
 
-    def ensure_cores(self, n_cores: int) -> list[int]:
+    def ensure_cores(self, n_cores: int) -> array:
         """Grow (never shrink) the occupancy counters to ``n_cores``.
 
-        Returns the counter list itself so hot paths can bind it to a
+        Returns the counter array itself so hot paths can bind it to a
         local once instead of re-reading the attribute per access.
+        Growing may move the array's buffer, so a run sizes it before
+        the compiled kernel takes its address.
         """
         counters = self.core_occupancy
-        while len(counters) < n_cores:
-            counters.append(0)
+        if len(counters) < n_cores:
+            counters.extend([0] * (n_cores - len(counters)))
         return counters
 
     # ------------------------------------------------------------------

@@ -3,10 +3,10 @@
 :class:`DvfsState` owns everything frequency-dependent a run needs:
 
 * the per-core **timing entries** the simulator's inner loop indexes —
-  ``(num, den, l1_hit_cost, miss_base)`` per core, where core-clock
-  work (issue gaps, L1 hits) is scaled by ``num/den`` while the LLC
-  latency inside ``miss_base`` and the memory latency stay on the
-  shared nominal clock;
+  a row ``(num, den, l1_hit_cost, miss_base)`` per core, where
+  core-clock work (issue gaps, L1 hits) is scaled by ``num/den`` while
+  the LLC latency inside ``miss_base`` and the memory latency stay on
+  the shared nominal clock;
 * the per-core **stall accumulators** the miss path feeds (nominal-
   domain LLC + memory cycles), which the governors' analytic slowdown
   model consumes;
@@ -24,6 +24,7 @@ historical arithmetic bit-for-bit.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING
 
 from repro.dvfs.governors import (
@@ -68,15 +69,17 @@ class DvfsState:
         #: per-core current level (GATED_LEVEL for idle/departed slots)
         self.levels: list[int] = list(self.governor.levels)
         #: per-core (num, den, scaled_l1_hit, scaled_l1 + l2) timing
-        #: rows, indexed by the inner loop; gated cores keep their last
-        #: row (they are never scheduled, so it is never read)
-        self.entries: list[tuple[int, int, int, int]] = [
-            self._entry(level if level != GATED_LEVEL else 0)
-            for level in self.levels
-        ]
+        #: rows, flat (core ``c``'s row starts at ``4 * c``) and written
+        #: in place, because the compiled kernel reads them; gated cores
+        #: keep their last row (they are never scheduled, so it is never
+        #: read)
+        self.entries = array("q")
+        for level in self.levels:
+            row = self._entry(level if level != GATED_LEVEL else 0)
+            self.entries.extend(row)
         #: nominal-domain LLC + memory stall cycles, accumulated by the
         #: miss paths; monotone within a run
-        self.stall: list[int] = [0] * config.n_cores
+        self.stall = array("q", bytes(8 * config.n_cores))
         # Energy-interval snapshots (advanced at every boundary).
         self._e_stamp = 0
         self._e_instr = [0] * config.n_cores
@@ -99,7 +102,8 @@ class DvfsState:
         """Move ``core`` to ``level`` (takes effect on its next access)."""
         self.levels[core] = level
         if level != GATED_LEVEL:
-            self.entries[core] = self._entry(level)
+            row = 4 * core
+            self.entries[row:row + 4] = array("q", self._entry(level))
 
     def gate_core(self, core: int) -> None:
         """Power-gate a departed/absent core: f = 0, zero energy on."""

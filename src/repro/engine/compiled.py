@@ -9,22 +9,29 @@ ordinary Python machinery between spans.  The contract is bit-exact
 equality with ``CMPSimulator._run_python`` on every supported
 configuration; the golden fixtures and ``tests/engine`` pin it.
 
-Marshalling strategy.  Cache-line and ATD state has one format, the
-Python objects' own arrays, and the kernel mutates it **in place**:
+Marshalling strategy.  Machine state has one owner, a Python object,
+and one format, that owner's own arrays; the kernel mutates it **in
+place**:
 
-* shared for the whole run (pointer tables built once in
-  :class:`_Marshal`): every L1 and LLC set's ``tags``/``mapped``/
-  ``stamp``/``owner``/``dirty`` columns, each cache's recency
-  ``clock``, and each ATD's ``stack``/``depth`` arrays;
-* shared per span (pointers refreshed in ``span_in``, because the
+* shared for the whole run (addresses taken once in :class:`_Marshal`;
+  the owners never rebind or resize these arrays): every L1 and LLC
+  set's ``tags``/``mapped``/``stamp``/``owner``/``dirty`` columns,
+  each cache's recency ``clock`` and ``core_occupancy`` counters, each
+  ATD's ``stack``/``depth``, the simulator's per-core scheduler
+  columns (:class:`~repro.sim.cpu.CoreColumns`), the hierarchy's L1
+  counters, the :class:`~repro.partitioning.base.PolicyStats` per-core
+  counters, the policy's way tables, the memory's bank timers and the
+  DVFS timing rows and stall counters;
+* shared per span (addresses refreshed in ``span_in``, because the
   objects are replaced mid-run): trace columns, takeover-vector
   ``bits`` and UCP transition counters.
 
-What is still copied in and out of each span is O(cores × ways):
-per-core scheduler rows, L1/LLC statistics and occupancy counters,
-energy and memory scalars, the policy's way tables, ATD hit counters,
-DVFS rows and the takeover bookkeeping.  Order-sensitive dict/list
-side effects (flush timelines, transfer flush buckets, UCP transition
+Still copied in and out of each span, on purpose: the O(1) scalars
+(energy, memory and ``PolicyStats`` scalars, ``takeover_events``, the
+policy's hook flags), the ATD hit counters (plain lists that callers
+may replace), and the dict-shaped UCP target/transition and
+cooperative takeover bookkeeping.  Order-sensitive dict/list side
+effects (flush timelines, transfer flush buckets, UCP transition
 durations) come back through an ordered event buffer and are replayed
 chronologically.
 
@@ -51,6 +58,7 @@ from repro.engine.build import (
 )
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
+from repro.sim.cpu import COLUMN_FIELDS
 
 _NEVER = 1 << 62
 
@@ -59,13 +67,34 @@ KIND_UCP = 1
 KIND_COOP = 2
 
 _CANARY = 0x5EED1DEA5EED1DEA
-_EVBUF_TRIPLES = 65536
+#: event-buffer capacity in triples (one buffer per run, zeroed at
+#: allocation): the kernel bails with ST_EVBUF_FULL once fewer than its
+#: 2,048-triple per-reference headroom remain, so a span that records
+#: more than 2,048 triples returns early and the driver resumes it
+_EVBUF_TRIPLES = 4096
 
 _EV_FLUSH_TL = 1
 _EV_TFB = 2
 _EV_TRANS_DUR = 3
 
 _i64 = ctypes.c_int64
+
+#: (simulator attribute, owner field, ctx field): the O(1) scalars
+#: copied into and out of every span
+_SCALARS = (
+    ("energy", "tag_probes", "e_tag_probes"),
+    ("energy", "data_reads", "e_data_reads"),
+    ("energy", "data_writes", "e_data_writes"),
+    ("energy", "writebacks", "e_writebacks"),
+    ("energy", "monitor_updates", "e_monitor_updates"),
+    ("memory", "reads", "mem_reads"),
+    ("memory", "writebacks", "mem_writebacks"),
+    ("memory", "read_stall_cycles", "mem_read_stall"),
+    ("stats", "transfer_flushes", "transfer_flushes"),
+    ("stats", "transitions_completed", "transitions_completed"),
+)
+#: PolicyStats.takeover_events keys; ctx field ``tk_<key>``
+_TAKEOVER_KEYS = ("donor_hit", "donor_miss", "recipient_hit", "recipient_miss")
 
 
 class _Ctx(ctypes.Structure):
@@ -88,10 +117,7 @@ class _Ctx(ctypes.Structure):
         # loop state
         "warmed_up", "unfinished", "boundary", "bail_now", "bail_core",
         # per-core scalars
-        "core_active", "core_time", "core_position", "core_length",
-        "core_instructions", "core_refs_done", "core_window_open",
-        "core_window_closed", "core_instr_base", "core_cycle_base",
-        "core_frozen_instr", "core_frozen_cycles",
+        *("core_" + name for name in COLUMN_FIELDS),
         # traces
         "trace_gaps", "trace_addr", "trace_writes",
         # L1
@@ -195,7 +221,7 @@ def policy_kind(policy) -> int | None:
 
 
 class _Marshal:
-    """Per-run kernel context: pointer tables once, scalars per span."""
+    """Per-run kernel context: shared addresses once, copies per span."""
 
     def __init__(self, sim, lib, kind: int, issue_shift: int) -> None:
         self.sim = sim
@@ -252,28 +278,15 @@ class _Marshal:
         ctx.l1_mask = sim._l1_mask
         ctx.l1_shift = sim._l1_shift
 
-        # ---- per-core scalar columns ---------------------------------
-        names = (
-            "core_active", "core_time", "core_position", "core_length",
-            "core_instructions", "core_refs_done", "core_window_open",
-            "core_window_closed", "core_instr_base", "core_cycle_base",
-            "core_frozen_instr", "core_frozen_cycles",
-        )
-        self._core_cols = {}
-        for name in names:
-            col = _qzeros(n)
-            self._core_cols[name] = col
-            setattr(ctx, name, _addr(col))
+        self._scalars = [
+            (getattr(sim, owner), name, field)
+            for owner, name, field in _SCALARS
+        ]
 
-        # ---- trace pointer tables (refreshed per span: PHASE rebinds)
-        self._gap_tbl = _qzeros(n)
-        self._addr_tbl = _qzeros(n)
-        self._write_tbl = _qzeros(n)
-        ctx.trace_gaps = _addr(self._gap_tbl)
-        ctx.trace_addr = _addr(self._addr_tbl)
-        ctx.trace_writes = _addr(self._write_tbl)
-
-        # ---- L1 / LLC columns: the sets' own arrays ------------------
+        # ---- shared for the run: the owners' own arrays ---------------
+        columns = sim.core_columns
+        for name in COLUMN_FIELDS:
+            setattr(ctx, "core_" + name, _addr(getattr(columns, name)))
         l1_sets = [cset for core in sim.cores for cset in core.l1_sets]
         llc_sets = policy._sets
         self._tables = tables = {
@@ -282,6 +295,7 @@ class _Marshal:
             "l1_owner": _table(cset.owner for cset in l1_sets),
             "l1_dirty": _table(cset.dirty for cset in l1_sets),
             "l1_clock": _table(l1.clock for l1 in hierarchy.l1),
+            "l1_occ": _table(l1.core_occupancy for l1 in hierarchy.l1),
             "llc_tags": _table(cset.tags for cset in llc_sets),
             "llc_stamp": _table(cset.stamp for cset in llc_sets),
             "llc_owner": _table(cset.owner for cset in llc_sets),
@@ -292,99 +306,51 @@ class _Marshal:
         }
         for name, table in tables.items():
             setattr(ctx, name, _addr(table))
-        ctx.llc_clock = _addr(policy.cache.clock)
-        for name in ("l1_occ", "l1_hits", "l1_misses", "l1_writebacks"):
-            col = _qzeros(n)
-            self._core_cols[name] = col
-            setattr(ctx, name, _addr(col))
-        self._llc_occ = _qzeros(n)
-        ctx.llc_occ = _addr(self._llc_occ)
+        stats = sim.stats
+        dvfs = sim.dvfs
+        for name, owned in (
+            ("l1_hits", hierarchy.l1_hits),
+            ("l1_misses", hierarchy.l1_misses),
+            ("l1_writebacks", hierarchy.l1_writebacks),
+            ("llc_clock", policy.cache.clock),
+            ("llc_occ", policy.cache.core_occupancy),
+            ("probe_mask", policy._probe_masks),
+            ("probe_count", policy._probe_counts),
+            ("fill_count", policy._fill_counts),
+            ("fill_ways", policy._fill_table),
+            ("ways_probed_sum", stats.ways_probed_sum),
+            ("probe_events", stats.probe_events),
+            ("writeback_accesses", stats.writeback_accesses),
+            ("demand_accesses", stats.demand_accesses),
+            ("demand_hits", stats.demand_hits),
+            ("bank_free_at", memory._bank_free_at),
+        ):
+            setattr(ctx, name, _addr(owned))
+        if dvfs is not None:
+            ctx.dvfs_entries = _addr(dvfs.entries)
+            ctx.dvfs_stall = _addr(dvfs.stall)
 
-        # ---- policy fast tables --------------------------------------
-        self._probe_mask = _qzeros(n)
-        self._probe_count = _qzeros(n)
-        self._fill_count = _qzeros(n)
-        self._fill_ways = _qzeros(n * W)
-        ctx.probe_mask = _addr(self._probe_mask)
-        ctx.probe_count = _addr(self._probe_count)
-        ctx.fill_count = _addr(self._fill_count)
-        ctx.fill_ways = _addr(self._fill_ways)
-
-        # ---- statistics ----------------------------------------------
-        for name in ("ways_probed_sum", "probe_events",
-                     "writeback_accesses", "demand_accesses", "demand_hits"):
-            col = _qzeros(n)
-            self._core_cols[name] = col
-            setattr(ctx, name, _addr(col))
-
-        # ---- memory --------------------------------------------------
-        self._bank_free = _qzeros(memory.n_banks)
-        ctx.bank_free_at = _addr(self._bank_free)
-
-        # ---- dvfs ----------------------------------------------------
-        self._dvfs_entries = _qzeros(n * 4)
-        self._dvfs_stall = _qzeros(n)
-        ctx.dvfs_entries = _addr(self._dvfs_entries)
-        ctx.dvfs_stall = _addr(self._dvfs_stall)
-
-        # ---- atd counters --------------------------------------------
-        self._atd_pos_hits = _qzeros(n * W)
-        self._atd_misses = _qzeros(n)
-        self._atd_accesses = _qzeros(n)
-        ctx.atd_pos_hits = _addr(self._atd_pos_hits)
-        ctx.atd_misses = _addr(self._atd_misses)
-        ctx.atd_accesses = _addr(self._atd_accesses)
-
-        # ---- ucp -----------------------------------------------------
-        self._ucp_target = _qzeros(n)
-        self._ucp_counts = _qzeros(n)
-        self._ucp_trans_active = _qzeros(n)
-        self._ucp_gained = _qzeros(n)
-        self._ucp_complete = _qzeros(n)
-        self._ucp_ways_gained = _qzeros(n)
-        self._ucp_ways_done = _qzeros(n)
-        self._ucp_start_cycle = _qzeros(n)
-        ctx.ucp_target = _addr(self._ucp_target)
-        ctx.ucp_counts = _addr(self._ucp_counts)
-        ctx.ucp_trans_active = _addr(self._ucp_trans_active)
-        ctx.ucp_gained = _addr(self._ucp_gained)
-        ctx.ucp_complete = _addr(self._ucp_complete)
-        ctx.ucp_ways_gained = _addr(self._ucp_ways_gained)
-        ctx.ucp_ways_done = _addr(self._ucp_ways_done)
-        ctx.ucp_start_cycle = _addr(self._ucp_start_cycle)
-
-        # ---- cooperative takeover ------------------------------------
-        self._coop_donor_count = _qzeros(n)
-        self._coop_donor_ways = _qzeros(n * W)
-        self._coop_rs_count = _qzeros(n)
-        self._coop_rs_donor = _qzeros(n * n)
-        self._coop_rs_nways = _qzeros(n * n)
-        self._coop_rs_ways = _qzeros(n * n * W)
-        self._coop_recv_count = _qzeros(n)
-        self._coop_recv_ways = _qzeros(n * W)
-        self._coop_vec_bits = _qzeros(n)
-        self._coop_vec_count = _qzeros(n)
-        ctx.coop_donor_count = _addr(self._coop_donor_count)
-        ctx.coop_donor_ways = _addr(self._coop_donor_ways)
-        ctx.coop_rs_count = _addr(self._coop_rs_count)
-        ctx.coop_rs_donor = _addr(self._coop_rs_donor)
-        ctx.coop_rs_nways = _addr(self._coop_rs_nways)
-        ctx.coop_rs_ways = _addr(self._coop_rs_ways)
-        ctx.coop_recv_count = _addr(self._coop_recv_count)
-        ctx.coop_recv_ways = _addr(self._coop_recv_ways)
-        ctx.coop_vec_bits = _addr(self._coop_vec_bits)
-        ctx.coop_vec_count = _addr(self._coop_vec_count)
-
-        # ---- event buffer --------------------------------------------
-        self._evbuf = _qzeros(3 * _EVBUF_TRIPLES)
-        ctx.evbuf = _addr(self._evbuf)
+        # ---- the marshal's own staging arrays, each at
+        # ``self._<field>``: per-span pointer tables (PHASE rebinds
+        # traces), the still-copied bookkeeping, the event buffer and
+        # the warm sweep's per-call tables
+        for name, size in (
+            ("trace_gaps", n), ("trace_addr", n), ("trace_writes", n),
+            ("atd_pos_hits", n * W), ("atd_misses", n), ("atd_accesses", n),
+            ("ucp_target", n), ("ucp_counts", n), ("ucp_trans_active", n),
+            ("ucp_gained", n), ("ucp_complete", n), ("ucp_ways_gained", n),
+            ("ucp_ways_done", n), ("ucp_start_cycle", n),
+            ("coop_donor_count", n), ("coop_donor_ways", n * W),
+            ("coop_rs_count", n), ("coop_rs_donor", n * n),
+            ("coop_rs_nways", n * n), ("coop_rs_ways", n * n * W),
+            ("coop_recv_count", n), ("coop_recv_ways", n * W),
+            ("coop_vec_bits", n), ("coop_vec_count", n),
+            ("evbuf", 3 * _EVBUF_TRIPLES), ("warm_lines", n), ("warm_len", n),
+        ):
+            staged = _qzeros(size)
+            setattr(self, "_" + name, staged)
+            setattr(ctx, name, _addr(staged))
         ctx.evbuf_cap = _EVBUF_TRIPLES
-
-        # ---- warm sweep (filled per call by warm()) -------------------
-        self._warm_tbl = _qzeros(n)
-        self._warm_len = _qzeros(n)
-        ctx.warm_lines = _addr(self._warm_tbl)
-        ctx.warm_len = _addr(self._warm_len)
 
     # ------------------------------------------------------------------
     def warm(self, cores) -> None:
@@ -404,7 +370,7 @@ class _Marshal:
             warm_len[ci] = 0
         for core in cores:
             # read per call: a PHASE event may have swapped the trace
-            self._warm_tbl[core.core_id] = _addr(core.warm_lines)
+            self._warm_lines[core.core_id] = _addr(core.warm_lines)
             warm_len[core.core_id] = len(core.warm_lines)
         ctx.warm_round = 0
         ctx.warm_core = 0
@@ -431,12 +397,10 @@ class _Marshal:
     # ------------------------------------------------------------------
     def span_in(self, boundary: int, unfinished: int,
                 warmed_up: bool) -> None:
-        """Copy all Python-held state into the kernel context."""
+        """Set the span's loop state and copy the still-copied state in."""
         sim = self.sim
         ctx = self.ctx
-        n = self.n
         W = self.W
-        cols = self._core_cols
         ctx.boundary = boundary
         ctx.unfinished = unfinished
         ctx.warmed_up = 1 if warmed_up else 0
@@ -444,123 +408,27 @@ class _Marshal:
         ctx.bail_now = 0
         ctx.bail_core = -1
 
-        c_active = cols["core_active"]
-        c_time = cols["core_time"]
-        c_pos = cols["core_position"]
-        c_len = cols["core_length"]
-        c_instr = cols["core_instructions"]
-        c_refs = cols["core_refs_done"]
-        c_wopen = cols["core_window_open"]
-        c_wclosed = cols["core_window_closed"]
-        c_ibase = cols["core_instr_base"]
-        c_cbase = cols["core_cycle_base"]
-        c_finstr = cols["core_frozen_instr"]
-        c_fcycles = cols["core_frozen_cycles"]
-        gap_tbl = self._gap_tbl
-        addr_tbl = self._addr_tbl
-        write_tbl = self._write_tbl
+        gap_tbl = self._trace_gaps
+        addr_tbl = self._trace_addr
+        write_tbl = self._trace_writes
         for ci, core in enumerate(sim.cores):
-            c_active[ci] = 1 if core.active else 0
-            c_time[ci] = core.time
-            c_pos[ci] = core.position
-            c_len[ci] = core.length
-            c_instr[ci] = core.instructions
-            c_refs[ci] = core.refs_done
-            c_wopen[ci] = 1 if core.window_open else 0
-            c_wclosed[ci] = 1 if core.window_closed else 0
-            c_ibase[ci] = core.instr_base
-            c_cbase[ci] = core.cycle_base
-            c_finstr[ci] = core.frozen_instructions
-            c_fcycles[ci] = core.frozen_cycles
             gap_tbl[ci] = _addr(core.gaps)
             addr_tbl[ci] = _addr(core.addresses)
             write_tbl[ci] = _addr(core.writes)
 
-        hierarchy = sim.hierarchy
-        l1_occ = cols["l1_occ"]
-        for ci in range(n):
-            l1_occ[ci] = hierarchy.l1[ci].core_occupancy[ci]
-        for name, src in (
-            ("l1_hits", hierarchy.l1_hits),
-            ("l1_misses", hierarchy.l1_misses),
-            ("l1_writebacks", hierarchy.l1_writebacks),
-        ):
-            col = cols[name]
-            for ci in range(n):
-                col[ci] = src[ci]
-        occ = sim.cache.core_occupancy
-        llc_occ = self._llc_occ
-        for ci in range(n):
-            llc_occ[ci] = occ[ci]
-
-        # Policy fast tables and hook flags.
         policy = sim.policy
-        pm = self._probe_mask
-        pc = self._probe_count
-        fc = self._fill_count
-        fw = self._fill_ways
-        for ci, (mask, count, fill) in enumerate(policy._core_tables):
-            pm[ci] = mask
-            pc[ci] = count
-            if fill is None:
-                fc[ci] = -1
-            else:
-                fc[ci] = len(fill)
-                base = ci * W
-                for k, way in enumerate(fill):
-                    fw[base + k] = way
         ctx.custom_victim = 1 if policy._custom_victim else 0
         ctx.pre_access_active = 1 if policy._pre_access_active else 0
         ctx.post_fill_active = 1 if policy._post_fill_active else 0
 
+        for owner, name, field in self._scalars:
+            setattr(ctx, field, getattr(owner, name))
         stats = sim.stats
-        for name, src in (
-            ("ways_probed_sum", stats.ways_probed_sum),
-            ("probe_events", stats.probe_events),
-            ("writeback_accesses", stats.writeback_accesses),
-            ("demand_accesses", stats.demand_accesses),
-            ("demand_hits", stats.demand_hits),
-        ):
-            col = cols[name]
-            for ci in range(n):
-                col[ci] = src[ci]
         ldc = stats.last_decision_cycle
         ctx.last_decision_cycle = -1 if ldc is None else ldc
-        ctx.transfer_flushes = stats.transfer_flushes
-        ctx.transitions_completed = stats.transitions_completed
         events = stats.takeover_events
-        ctx.tk_donor_hit = events["donor_hit"]
-        ctx.tk_donor_miss = events["donor_miss"]
-        ctx.tk_recipient_hit = events["recipient_hit"]
-        ctx.tk_recipient_miss = events["recipient_miss"]
-
-        energy = sim.energy
-        ctx.e_tag_probes = energy.tag_probes
-        ctx.e_data_reads = energy.data_reads
-        ctx.e_data_writes = energy.data_writes
-        ctx.e_writebacks = energy.writebacks
-        ctx.e_monitor_updates = energy.monitor_updates
-
-        memory = sim.memory
-        bank = self._bank_free
-        for b, value in enumerate(memory._bank_free_at):
-            bank[b] = value
-        ctx.mem_reads = memory.reads
-        ctx.mem_writebacks = memory.writebacks
-        ctx.mem_read_stall = memory.read_stall_cycles
-
-        dvfs = sim.dvfs
-        if dvfs is not None:
-            entries = self._dvfs_entries
-            stall = self._dvfs_stall
-            for ci in range(n):
-                entry = dvfs.entries[ci]
-                base = ci * 4
-                entries[base] = entry[0]
-                entries[base + 1] = entry[1]
-                entries[base + 2] = entry[2]
-                entries[base + 3] = entry[3]
-                stall[ci] = dvfs.stall[ci]
+        for key in _TAKEOVER_KEYS:
+            setattr(ctx, "tk_" + key, events[key])
 
         atds = policy._atds
         if atds:
@@ -666,12 +534,10 @@ class _Marshal:
 
     # ------------------------------------------------------------------
     def span_out(self) -> None:
-        """Sync kernel-side results back into the Python objects."""
+        """Replay the span's events and copy the still-copied state out."""
         sim = self.sim
         ctx = self.ctx
-        n = self.n
         W = self.W
-        cols = self._core_cols
 
         # Ordered side effects first: the flush/bucket dicts must see
         # keys in chronological order across the whole run.
@@ -692,83 +558,11 @@ class _Marshal:
             else:
                 durations.append(value)
 
-        c_time = cols["core_time"]
-        c_pos = cols["core_position"]
-        c_instr = cols["core_instructions"]
-        c_refs = cols["core_refs_done"]
-        c_wopen = cols["core_window_open"]
-        c_wclosed = cols["core_window_closed"]
-        c_ibase = cols["core_instr_base"]
-        c_cbase = cols["core_cycle_base"]
-        c_finstr = cols["core_frozen_instr"]
-        c_fcycles = cols["core_frozen_cycles"]
-        for ci, core in enumerate(sim.cores):
-            core.time = c_time[ci]
-            core.position = c_pos[ci]
-            core.instructions = c_instr[ci]
-            core.refs_done = c_refs[ci]
-            core.window_open = bool(c_wopen[ci])
-            core.window_closed = bool(c_wclosed[ci])
-            core.instr_base = c_ibase[ci]
-            core.cycle_base = c_cbase[ci]
-            core.frozen_instructions = c_finstr[ci]
-            core.frozen_cycles = c_fcycles[ci]
-
-        hierarchy = sim.hierarchy
-        l1_occ = cols["l1_occ"]
-        for ci in range(n):
-            hierarchy.l1[ci].core_occupancy[ci] = l1_occ[ci]
-        for name, dst in (
-            ("l1_hits", hierarchy.l1_hits),
-            ("l1_misses", hierarchy.l1_misses),
-            ("l1_writebacks", hierarchy.l1_writebacks),
-        ):
-            col = cols[name]
-            for ci in range(n):
-                dst[ci] = col[ci]
-        occ = sim.cache.core_occupancy
-        llc_occ = self._llc_occ
-        for ci in range(n):
-            occ[ci] = llc_occ[ci]
-
-        for name, dst in (
-            ("ways_probed_sum", stats.ways_probed_sum),
-            ("probe_events", stats.probe_events),
-            ("writeback_accesses", stats.writeback_accesses),
-            ("demand_accesses", stats.demand_accesses),
-            ("demand_hits", stats.demand_hits),
-        ):
-            col = cols[name]
-            for ci in range(n):
-                dst[ci] = col[ci]
-        stats.transfer_flushes = ctx.transfer_flushes
-        stats.transitions_completed = ctx.transitions_completed
+        for owner, name, field in self._scalars:
+            setattr(owner, name, getattr(ctx, field))
         events = stats.takeover_events
-        events["donor_hit"] = ctx.tk_donor_hit
-        events["donor_miss"] = ctx.tk_donor_miss
-        events["recipient_hit"] = ctx.tk_recipient_hit
-        events["recipient_miss"] = ctx.tk_recipient_miss
-
-        energy = sim.energy
-        energy.tag_probes = ctx.e_tag_probes
-        energy.data_reads = ctx.e_data_reads
-        energy.data_writes = ctx.e_data_writes
-        energy.writebacks = ctx.e_writebacks
-        energy.monitor_updates = ctx.e_monitor_updates
-
-        bank = self._bank_free
-        free_at = memory._bank_free_at
-        for b in range(len(free_at)):
-            free_at[b] = bank[b]
-        memory.reads = ctx.mem_reads
-        memory.writebacks = ctx.mem_writebacks
-        memory.read_stall_cycles = ctx.mem_read_stall
-
-        dvfs = sim.dvfs
-        if dvfs is not None:
-            stall = self._dvfs_stall
-            for ci in range(n):
-                dvfs.stall[ci] = stall[ci]
+        for key in _TAKEOVER_KEYS:
+            events[key] = getattr(ctx, "tk_" + key)
 
         policy = sim.policy
         atds = policy._atds
@@ -802,21 +596,27 @@ class _Marshal:
 
 
 # ----------------------------------------------------------------------
-def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
+def _scalar_ref(sim, ci, target, warmup, unfinished, warmed_up, clock,
                 issue_shift):
-    """Execute exactly one reference through the Python machinery.
+    """Execute exactly one reference of core ``ci`` in Python.
 
     Used when the kernel bails out on a reference that would complete
     a takeover vector: the completion restructures the policy (RAP
     withdrawal, power gating), so the whole reference — including the
     mid-reference restructure — runs through the reference loop's
     scalar body.  Mirrors ``CMPSimulator._run_python``'s per-reference
-    section, with the miss path through ``CMPSimulator._l1_miss``.
+    section on the shared columns, with the miss path through
+    ``CMPSimulator._l1_miss``.
     """
-    now = core.time
+    core = sim.cores[ci]
+    columns = sim.core_columns
+    times = columns.time
+    positions = columns.position
+    refs_done = columns.refs_done
+    now = times[ci]
     dvfs = sim.dvfs
 
-    position = core.position
+    position = positions[ci]
     gap = core.gaps[position]
     address = core.addresses[position]
     is_write = core.writes[position]
@@ -824,9 +624,12 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
         issue_time = now + (gap >> issue_shift)
         hit_latency = sim.hierarchy.l1_latency
     else:
-        entry = dvfs.entries[core.core_id]
-        issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
-        hit_latency = entry[2]
+        row = ci << 2
+        entries = dvfs.entries
+        issue_time = (
+            now + (gap >> issue_shift) * entries[row] // entries[row + 1]
+        )
+        hit_latency = entries[row + 2]
 
     set_index = address & sim._l1_mask
     tag = address >> sim._l1_shift
@@ -839,25 +642,26 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
         recency[0] += 1
         if is_write:
             cset.dirty[way] = 1
-        sim.hierarchy.l1_hits[core.core_id] += 1
-        core.time = issue_time + hit_latency
+        sim.hierarchy.l1_hits[ci] += 1
+        times[ci] = issue_time + hit_latency
     else:
-        core.time = issue_time + sim._l1_miss(
-            core.core_id, address, is_write, issue_time, cset, set_index, tag
+        times[ci] = issue_time + sim._l1_miss(
+            ci, address, is_write, issue_time, cset, set_index, tag
         )
-    core.instructions += gap + 1
+    columns.instructions[ci] += gap + 1
     position += 1
-    core.position = 0 if position == core.length else position
-    core.refs_done += 1
+    positions[ci] = 0 if position == columns.length[ci] else position
+    done = refs_done[ci] + 1
+    refs_done[ci] = done
 
-    if core.refs_done == warmup and not core.window_open:
+    if done == warmup and not columns.window_open[ci]:
         core.start_measurement()
         if not warmed_up and sim._warm_gate_passed(warmup):
             sim._end_warmup()
             warmed_up = True
             if sim.energy.window_start > clock:
                 clock = sim.energy.window_start
-    if core.refs_done == target and not core.window_closed:
+    if done == target and not columns.window_closed[ci]:
         core.freeze()
         unfinished -= 1
     return unfinished, warmed_up, clock
@@ -904,23 +708,24 @@ def run_compiled(sim):
     # Span timing runs when either sink wants it; each sink is then
     # fed independently (metrics without tracing and vice versa).
     measure_spans = trace_spans or observe_span is not None
+    refs_done = sim.core_columns.refs_done
 
     while unfinished:
         boundary = next_epoch if next_epoch < next_event else next_event
         if measure_spans:
-            refs_before = sum(c.refs_done for c in sim.cores)
+            refs_before = sum(refs_done)
             span_start = perf_counter()
         marshal.span_in(boundary, unfinished, warmed_up)
         status = run_span(ctx_ptr)
         marshal.span_out()
         if measure_spans:
             seconds = perf_counter() - span_start
-            refs = sum(c.refs_done for c in sim.cores) - refs_before
+            refs = sum(refs_done) - refs_before
             if trace_spans:
                 rec.kernel_span(seconds, refs=refs, boundary=boundary)
             if observe_span is not None:
                 observe_span(seconds, refs)
-        unfinished = marshal.ctx.unfinished
+        unfinished = ctx.unfinished
         if status == ST_DONE:
             break
         if status == ST_BOUNDARY:
@@ -928,7 +733,7 @@ def run_compiled(sim):
                 clock, next_epoch, next_event, event_index,
                 unfinished, warmed_up, _rekey,
             ) = sim._advance_boundary(
-                marshal.ctx.bail_now, clock, next_epoch, next_event,
+                ctx.bail_now, clock, next_epoch, next_event,
                 event_index, unfinished, warmed_up,
             )
         elif status == ST_WARMUP_GATE:
@@ -938,10 +743,9 @@ def run_compiled(sim):
                 if sim.energy.window_start > clock:
                     clock = sim.energy.window_start
         elif status == ST_NEED_PYTHON_REF:
-            core = sim.cores[marshal.ctx.bail_core]
             unfinished, warmed_up, clock = _scalar_ref(
-                sim, core, target, warmup, unfinished, warmed_up, clock,
-                issue_shift,
+                sim, ctx.bail_core, target, warmup, unfinished, warmed_up,
+                clock, issue_shift,
             )
         elif status == ST_EVBUF_FULL:
             pass

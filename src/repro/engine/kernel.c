@@ -29,10 +29,11 @@
  * transfer-flush buckets, transition durations) are recorded into an
  * ordered event buffer the Python driver replays on span exit.
  *
- * Cache-line and ATD state has one format, shared with Python: every
- * per-set column (tags, mapped, stamp, owner, dirty), every recency
- * clock and every ATD stack is the Python object's own array, reached
- * through pointer tables built once per run and mutated in place.
+ * Machine state has one format, shared with Python: every per-set
+ * column (tags, mapped, stamp, owner, dirty), every recency clock and
+ * ATD stack, the per-core scheduler columns, counters, way tables and
+ * DVFS rows are the Python owners' own arrays, reached through
+ * pointers set once per run and mutated in place.
  *
  * The struct layout below is mirrored field-for-field by the ctypes
  * Structure in repro/engine/compiled.py; every field is 8 bytes wide
@@ -103,7 +104,7 @@ typedef struct {
     i64 bail_now;   /* out */
     i64 bail_core;  /* out */
 
-    /* ---- per-core scalar state (in/out) ---- */
+    /* ---- per-core scheduler columns (shared) ---- */
     i64 *core_active;
     i64 *core_time;
     i64 *core_position;
@@ -114,7 +115,7 @@ typedef struct {
     i64 *core_window_closed;
     i64 *core_instr_base;
     i64 *core_cycle_base;
-    i64 *core_frozen_instr;
+    i64 *core_frozen_instructions;
     i64 *core_frozen_cycles;
 
     /* ---- traces (zero-copy, refreshed per span) ---- */
@@ -128,7 +129,7 @@ typedef struct {
     i64 **l1_owner;
     uint8_t **l1_dirty;
     i64 **l1_clock;     /* per core: its L1's one recency counter */
-    i64 *l1_occ;        /* per core */
+    i64 **l1_occ;       /* per core: its L1's occupancy counters */
     i64 *l1_hits;       /* per core */
     i64 *l1_misses;     /* per core */
     i64 *l1_writebacks; /* per core */
@@ -151,7 +152,7 @@ typedef struct {
     i64 pre_access_active;
     i64 post_fill_active;
 
-    /* ---- statistics (per core, in/out) ---- */
+    /* ---- statistics (per core, shared) ---- */
     i64 *ways_probed_sum;
     i64 *probe_events;
     i64 *writeback_accesses;
@@ -181,7 +182,7 @@ typedef struct {
 
     /* ---- DVFS ---- */
     i64 *dvfs_entries; /* [core * 4 + k]: num, den, scaled_l1, miss_base */
-    i64 *dvfs_stall;   /* per core, in/out */
+    i64 *dvfs_stall;   /* per core */
 
     /* ---- ATD (valid when has_monitors) ---- */
     i64 **atd_stack;   /* per core: [slot * llc_ways + k] */
@@ -659,7 +660,7 @@ static i64 l1_fill(Ctx *c, i64 ci, i64 sidx, i64 lset, i64 ltag, int is_write,
     if (old_tag != NO_TAG)
         evicted_dirty = c->l1_dirty[sidx][victim];
     else
-        c->l1_occ[ci]++;
+        c->l1_occ[ci][ci]++;
     ltags[victim] = ltag;
     c->l1_dirty[sidx][victim] = is_write ? 1 : 0;
     c->l1_owner[sidx][victim] = ci;
@@ -806,7 +807,7 @@ i64 repro_run_span(Ctx *c)
         }
         if (c->core_refs_done[ci] == c->target && !c->core_window_closed[ci]) {
             /* CoreState.freeze() */
-            c->core_frozen_instr[ci] =
+            c->core_frozen_instructions[ci] =
                 c->core_instructions[ci] - c->core_instr_base[ci];
             c->core_frozen_cycles[ci] =
                 c->core_time[ci] - c->core_cycle_base[ci];

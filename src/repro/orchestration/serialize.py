@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from array import array
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any
 
@@ -169,13 +170,17 @@ def policy_stats_to_dict(stats: PolicyStats) -> dict[str, Any]:
 
 
 def policy_stats_from_dict(data: dict[str, Any]) -> PolicyStats:
-    """Rebuild a :class:`PolicyStats` from :func:`policy_stats_to_dict`."""
+    """Rebuild a :class:`PolicyStats` from :func:`policy_stats_to_dict`.
+
+    The per-core counters come back as the ``array('q')`` columns a
+    run builds, so a loaded result equals the freshly simulated one.
+    """
     stats = PolicyStats(data["n_cores"], data["flush_bucket_cycles"])
-    stats.demand_accesses = list(data["demand_accesses"])
-    stats.demand_hits = list(data["demand_hits"])
-    stats.writeback_accesses = list(data["writeback_accesses"])
-    stats.ways_probed_sum = list(data["ways_probed_sum"])
-    stats.probe_events = list(data["probe_events"])
+    stats.demand_accesses = array("q", data["demand_accesses"])
+    stats.demand_hits = array("q", data["demand_hits"])
+    stats.writeback_accesses = array("q", data["writeback_accesses"])
+    stats.ways_probed_sum = array("q", data["ways_probed_sum"])
+    stats.probe_events = array("q", data["probe_events"])
     stats.decisions = data["decisions"]
     stats.repartitions = data["repartitions"]
     stats.last_decision_cycle = data["last_decision_cycle"]

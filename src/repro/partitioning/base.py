@@ -24,6 +24,7 @@ compatibility path that calls them per access, exactly as before.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 
 from repro.cache.cache_set import NO_TAG
@@ -45,11 +46,12 @@ class PolicyStats:
     def __init__(self, n_cores: int, flush_bucket_cycles: int = 250_000) -> None:
         self.n_cores = n_cores
         self.flush_bucket_cycles = flush_bucket_cycles
-        self.demand_accesses = [0] * n_cores
-        self.demand_hits = [0] * n_cores
-        self.writeback_accesses = [0] * n_cores
-        self.ways_probed_sum = [0] * n_cores
-        self.probe_events = [0] * n_cores
+        # Per-core counters: arrays zeroed in place, never rebound.
+        self.demand_accesses = array("q", bytes(8 * n_cores))
+        self.demand_hits = array("q", bytes(8 * n_cores))
+        self.writeback_accesses = array("q", bytes(8 * n_cores))
+        self.ways_probed_sum = array("q", bytes(8 * n_cores))
+        self.probe_events = array("q", bytes(8 * n_cores))
         self.decisions = 0
         self.repartitions = 0
         self.last_decision_cycle: int | None = None
@@ -75,15 +77,15 @@ class PolicyStats:
         """Zero every counter (end of warmup) without replacing self.
 
         Policies hold a reference to this object — and the hot access
-        path binds the per-core counter *lists* once — so both the
-        object and its list fields are zeroed in place.
+        path and the compiled kernel bind the per-core counter arrays
+        once — so both the object and its arrays are zeroed in place.
         """
-        n = self.n_cores
-        self.demand_accesses[:] = [0] * n
-        self.demand_hits[:] = [0] * n
-        self.writeback_accesses[:] = [0] * n
-        self.ways_probed_sum[:] = [0] * n
-        self.probe_events[:] = [0] * n
+        for counters in (
+            self.demand_accesses, self.demand_hits, self.writeback_accesses,
+            self.ways_probed_sum, self.probe_events,
+        ):
+            for core in range(len(counters)):
+                counters[core] = 0
         self.decisions = 0
         self.repartitions = 0
         self.last_decision_cycle = None
@@ -177,15 +179,19 @@ class BaseSharedCachePolicy:
         #: per-core probe restriction (tuple | None), membership mask
         #: over ways (-1 = all bits set = every way) and probe width
         self._probe_lists: list[tuple[int, ...] | None] = [None] * n
-        self._probe_masks: list[int] = [-1] * n
-        self._probe_counts: list[int] = [ways] * n
+        self._probe_masks = array("q", [-1]) * n
+        self._probe_counts = array("q", [ways]) * n
         self._fill_lists: list[tuple[int, ...] | None] = [None] * n
+        #: the fill restriction as the compiled kernel reads it: width
+        #: per core (-1 = every way) and the ways, ``ways`` slots per core
+        self._fill_counts = array("q", [-1]) * n
+        self._fill_table = array("q", bytes(8 * n * ways))
         #: fused (probe_mask, probe_count, fill_ways) per core — one
         #: index + unpack in the inner loop instead of three lookups
         self._core_tables: list[tuple[int, int, tuple[int, ...] | None]] = [
             (-1, ways, None)
         ] * n
-        # The per-core counter lists are zeroed in place by
+        # The per-core counter arrays are zeroed in place by
         # PolicyStats.reset_counters, so binding them here is safe.
         self._ways_probed_sum = stats.ways_probed_sum
         self._probe_events = stats.probe_events
@@ -318,7 +324,11 @@ class BaseSharedCachePolicy:
         probe: tuple[int, ...] | None,
         fill: tuple[int, ...] | None,
     ) -> None:
-        """Install ``core``'s way restrictions into the fast tables."""
+        """Install ``core``'s way restrictions into the fast tables.
+
+        The only writer of every form of the tables; the arrays are
+        written in place because the compiled kernel reads them.
+        """
         self._probe_lists[core] = probe
         if probe is None:
             self._probe_masks[core] = -1
@@ -330,6 +340,12 @@ class BaseSharedCachePolicy:
             self._probe_masks[core] = mask
             self._probe_counts[core] = len(probe)
         self._fill_lists[core] = fill
+        if fill is None:
+            self._fill_counts[core] = -1
+        else:
+            self._fill_counts[core] = len(fill)
+            base = core * self.geometry.ways
+            self._fill_table[base:base + len(fill)] = array("q", fill)
         self._core_tables[core] = (
             self._probe_masks[core], self._probe_counts[core], fill
         )

@@ -17,6 +17,9 @@ The reference stream is held in ``array``-backed columns (``gaps``,
 ``addresses``, ``writes``) shared with or derived from the
 :class:`~repro.workloads.trace.Trace`, so the simulator's inner loop
 indexes flat machine-word arrays instead of lists of boxed objects.
+The per-core execution fields (clock, trace position, counters,
+window bookkeeping) are likewise columns shared by all cores, which
+the compiled kernel mutates in place.
 """
 
 from __future__ import annotations
@@ -28,49 +31,101 @@ from repro.workloads.trace import Trace
 #: address-space offset between cores (line-address bits)
 CORE_ADDRESS_SPACE_BITS = 40
 
+#: the execution fields the compiled kernel reads and writes; each is
+#: one n-entry ``array('q')`` column of :class:`CoreColumns`
+COLUMN_FIELDS = (
+    "active",
+    "time",
+    "position",
+    "length",
+    "instructions",
+    "refs_done",
+    "window_open",
+    "window_closed",
+    "instr_base",
+    "cycle_base",
+    "frozen_instructions",
+    "frozen_cycles",
+)
+
+
+class CoreColumns:
+    """Every core's execution fields, one ``array('q')`` per field.
+
+    The simulator allocates one instance per run and never rebinds a
+    column, so the compiled kernel points at them for the whole run and
+    both engines mutate the same memory.
+    """
+
+    __slots__ = COLUMN_FIELDS
+
+    def __init__(self, n_cores: int) -> None:
+        for name in COLUMN_FIELDS:
+            setattr(self, name, array("q", bytes(8 * n_cores)))
+
+
+class _Column:
+    """A :class:`CoreState` attribute that views its core's entry of
+    the shared column of the same name."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, core: "CoreState", owner: type | None = None) -> int:
+        return getattr(core.columns, self.name)[core.core_id]
+
+    def __set__(self, core: "CoreState", value: int) -> None:
+        getattr(core.columns, self.name)[core.core_id] = value
+
+
+class _Flag(_Column):
+    """A 0/1 column entry that reads as ``bool``."""
+
+    def __get__(self, core: "CoreState", owner: type | None = None) -> bool:
+        return bool(getattr(core.columns, self.name)[core.core_id])
+
 
 class CoreState:
-    """Mutable execution state of one simulated core."""
+    """Mutable execution state of one simulated core.
+
+    The fields the kernel touches live in the simulator's
+    :class:`CoreColumns` (fresh columns read as zero); the attributes
+    below are views onto this core's entry.
+    """
 
     __slots__ = (
         "core_id",
+        "columns",
         "benchmark",
         "gaps",
         "addresses",
         "writes",
         "warm_lines",
-        "length",
-        "position",
-        "time",
-        "instructions",
-        "refs_done",
-        "instr_base",
-        "cycle_base",
-        "frozen_instructions",
-        "frozen_cycles",
-        "window_closed",
-        "window_open",
-        "active",
         "departed",
         "l1_sets",
     )
 
-    def __init__(self, core_id: int, trace: Trace | None) -> None:
+    #: whether the core is currently executing (scenario engine)
+    active = _Flag()
+    time = _Column()
+    position = _Column()
+    length = _Column()
+    instructions = _Column()
+    refs_done = _Column()
+    #: whether the measurement window has opened (end of this core's
+    #: warmup) — per core so late arrivals measure too
+    window_open = _Flag()
+    window_closed = _Flag()
+    instr_base = _Column()
+    cycle_base = _Column()
+    frozen_instructions = _Column()
+    frozen_cycles = _Column()
+
+    def __init__(
+        self, core_id: int, trace: Trace | None, columns: CoreColumns
+    ) -> None:
         self.core_id = core_id
-        self.position = 0
-        self.time = 0
-        self.instructions = 0
-        self.refs_done = 0
-        self.instr_base = 0
-        self.cycle_base = 0
-        self.frozen_instructions = 0
-        self.frozen_cycles = 0
-        self.window_closed = False
-        #: whether the measurement window has opened (end of this
-        #: core's warmup) — per core so late arrivals measure too
-        self.window_open = False
-        #: whether the core is currently executing (scenario engine)
-        self.active = True
+        self.columns = columns
         #: whether the core has departed for good
         self.departed = False
         #: the core's private L1 sets, bound by the simulator so the
@@ -84,9 +139,8 @@ class CoreState:
             self.addresses = array("q")
             self.writes = array("b")
             self.warm_lines = array("q")
-            self.length = 0
-            self.active = False
         else:
+            self.active = True
             self.load_trace(trace)
 
     def load_trace(self, trace: Trace) -> None:

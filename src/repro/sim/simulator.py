@@ -57,6 +57,7 @@ order, so they are interchangeable mid-run.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heapify, heapreplace
 from typing import Callable
 
@@ -78,7 +79,7 @@ from repro.partitioning.registry import PolicySpec, build_policy
 from repro.scenarios.model import ARRIVE, DEPART, PHASE, Scenario, ScenarioEvent
 from repro.scenarios.timeline import TimelineSample
 from repro.sim.config import SystemConfig
-from repro.sim.cpu import CoreState
+from repro.sim.cpu import CoreColumns, CoreState
 from repro.sim.stats import CoreResult, RunResult
 from repro.workloads.trace import Trace
 
@@ -117,7 +118,12 @@ class CMPSimulator:
         ]
         self._check_traces(traces, phase_traces or {}, scenario)
         self._phase_traces = phase_traces or {}
-        self.cores = [CoreState(i, trace) for i, trace in enumerate(traces)]
+        #: every core's execution fields, one shared column per field
+        self.core_columns = CoreColumns(config.n_cores)
+        self.cores = [
+            CoreState(i, trace, self.core_columns)
+            for i, trace in enumerate(traces)
+        ]
         for core, arrival in zip(self.cores, self._arrival_events):
             core.active = arrival is not None and arrival.at_cycle == 0
         self._pending_events = scenario.dynamic_events()
@@ -194,7 +200,7 @@ class CMPSimulator:
         )
         self.epoch_curves: list[list[int]] = []
         # Inner-loop constants and per-core L1 bindings.  The counter
-        # lists are zeroed in place at the end of warmup, so these
+        # arrays are zeroed in place at the end of warmup, so these
         # references stay valid for the whole run.
         l1_geometry = self.hierarchy.l1[0].geometry
         self._l1_mask = l1_geometry.set_mask
@@ -536,6 +542,16 @@ class CMPSimulator:
         l1_latency = self.hierarchy.l1_latency
         l1_hits = self.hierarchy.l1_hits
         l1_miss = self._l1_miss
+        # The scheduler works on core ids and the shared columns; no
+        # CoreState attribute view is read per reference.
+        columns = self.core_columns
+        times = columns.time
+        positions = columns.position
+        lengths = columns.length
+        instructions = columns.instructions
+        refs_done = columns.refs_done
+        window_open = columns.window_open
+        window_closed = columns.window_closed
         # DVFS bindings: with a governor, core-clock work is scaled by
         # the per-core timing rows (and _l1_miss accumulates LLC+memory
         # stall for the governors' slowdown model).  Without one this
@@ -560,33 +576,32 @@ class CMPSimulator:
         # as min() over the core list: earliest time, lowest id).  A
         # dynamic schedule always uses the heap — membership changes
         # whenever a core arrives or departs.
-        core_a = core_b = None
+        id_a = id_b = -1
         heap = None
         if events:
             heap = [(core.time, core.core_id) for core in initial]
             heapify(heap)
         else:
             n_scheduled = len(initial)
-            core_a = initial[0] if n_scheduled else None
-            core_b = initial[1] if n_scheduled == 2 else None
+            id_a = initial[0].core_id if n_scheduled else -1
+            id_b = initial[1].core_id if n_scheduled == 2 else -1
             if n_scheduled > 2:
                 heap = [(core.time, core.core_id) for core in initial]
                 heapify(heap)
 
         while unfinished:
-            if core_b is not None:
-                core = core_a if core_a.time <= core_b.time else core_b
-                now = core.time
+            if id_b >= 0:
+                ci = id_a if times[id_a] <= times[id_b] else id_b
+                now = times[ci]
             elif heap is None:
-                core = core_a
-                now = core.time
+                ci = id_a
+                now = times[ci]
             elif heap:
-                now, core_id = heap[0]
-                core = cores[core_id]
+                now, ci = heap[0]
             else:
                 # No core is executing; jump to the next boundary (an
                 # epoch or the arrival that will repopulate the heap).
-                core = None
+                ci = -1
                 now = next_event if next_event < next_epoch else next_epoch
 
             if now >= next_epoch or now >= next_event:
@@ -604,7 +619,8 @@ class CMPSimulator:
                     heapify(heap)
                 continue
 
-            position = core.position
+            core = cores[ci]
+            position = positions[ci]
             gap = core.gaps[position]
             address = core.addresses[position]
             is_write = core.writes[position]
@@ -615,9 +631,12 @@ class CMPSimulator:
                 # Core-clock work stretches by num/den; the LLC keeps
                 # its own clock (_l1_miss charges nominal l2 and memory
                 # cycles).
-                entry = dvfs_entries[core.core_id]
-                issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
-                hit_latency = entry[2]
+                row = ci << 2
+                issue_time = (
+                    now + (gap >> issue_shift) * dvfs_entries[row]
+                    // dvfs_entries[row + 1]
+                )
+                hit_latency = dvfs_entries[row + 2]
 
             # Inlined L1 lookup — the hit path touches three integers
             # and returns to the scheduler without another frame.
@@ -632,21 +651,22 @@ class CMPSimulator:
                 recency[0] += 1
                 if is_write:
                     cset.dirty[way] = 1
-                l1_hits[core.core_id] += 1
-                core.time = issue_time + hit_latency
+                l1_hits[ci] += 1
+                time = issue_time + hit_latency
             else:
-                core.time = issue_time + l1_miss(
-                    core.core_id, address, is_write, issue_time,
-                    cset, set_index, tag,
+                time = issue_time + l1_miss(
+                    ci, address, is_write, issue_time, cset, set_index, tag,
                 )
-            core.instructions += gap + 1
+            times[ci] = time
+            instructions[ci] += gap + 1
             position += 1
-            core.position = 0 if position == core.length else position
-            core.refs_done += 1
+            positions[ci] = 0 if position == lengths[ci] else position
+            done = refs_done[ci] + 1
+            refs_done[ci] = done
             if heap is not None:
-                heapreplace(heap, (core.time, core.core_id))
+                heapreplace(heap, (time, ci))
 
-            if core.refs_done == warmup and not core.window_open:
+            if done == warmup and not window_open[ci]:
                 # Each core's IPC window opens at its own warmup point
                 # so every scheme measures exactly the same
                 # (target - warmup) references per core; the global
@@ -657,7 +677,7 @@ class CMPSimulator:
                     warmed_up = True
                     if self.energy.window_start > clock:
                         clock = self.energy.window_start
-            if core.refs_done == target and not core.window_closed:
+            if done == target and not window_closed[ci]:
                 core.freeze()
                 unfinished -= 1
 
@@ -797,9 +817,8 @@ class CMPSimulator:
         dvfs = self.dvfs
         if dvfs is None:
             return self._miss_latency + memory_latency
-        entry = dvfs.entries[core_id]
         dvfs.stall[core_id] += self.config.l2_latency + memory_latency
-        return entry[3] + memory_latency
+        return dvfs.entries[(core_id << 2) + 3] + memory_latency
 
     # ------------------------------------------------------------------
     def _prewarm(self, cores: list[CoreState]) -> None:
@@ -839,7 +858,7 @@ class CMPSimulator:
         point (the nominal latency without a governor)."""
         if self.dvfs is None:
             return self.hierarchy.l1_latency
-        return self.dvfs.entries[core_id][2]
+        return self.dvfs.entries[(core_id << 2) + 2]
 
     @staticmethod
     def _warm_access(
@@ -848,13 +867,15 @@ class CMPSimulator:
         l1_mask: int,
         l1_shift: int,
         l1_latency: int,
-        l1_hits: list[int],
+        l1_hits: array,
         miss,
     ) -> None:
         """One warm touch of ``address`` — the single shared copy of
         the warming L1 access sequence (callers pass the bound loop
         constants so per-line cost stays flat)."""
-        now = core.time
+        core_id = core.core_id
+        times = core.columns.time
+        now = times[core_id]
         cset = core.l1_sets[address & l1_mask]
         tag = address >> l1_shift
         tags = cset.tags
@@ -862,11 +883,11 @@ class CMPSimulator:
             clock = cset.clock
             cset.stamp[tags.index(tag)] = clock[0]
             clock[0] += 1
-            l1_hits[core.core_id] += 1
-            core.time = now + l1_latency
+            l1_hits[core_id] += 1
+            times[core_id] = now + l1_latency
         else:
-            core.time = now + miss(
-                core.core_id, address, False, now,
+            times[core_id] = now + miss(
+                core_id, address, False, now,
                 cset, address & l1_mask, tag,
             )
 
@@ -929,8 +950,8 @@ class CMPSimulator:
         self.energy.reset_window(now)
         if self.dvfs is not None:
             self.dvfs.reset_window(now, self.cores)
-        # Zero the L1 counters in place: the run loop holds direct
-        # references to these lists.
+        # Zero the L1 counters in place: the run loop and the compiled
+        # kernel hold direct references to these arrays.
         hierarchy = self.hierarchy
         for core_id in range(self.config.n_cores):
             hierarchy.l1_hits[core_id] = 0

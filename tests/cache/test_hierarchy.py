@@ -56,7 +56,7 @@ class TestL1Behaviour:
         hierarchy, policy = _hierarchy()
         hierarchy.access(0, 100, False, 0)
         hierarchy.access(1, 100, False, 0)
-        assert hierarchy.l1_misses == [1, 1]  # no sharing between L1s
+        assert list(hierarchy.l1_misses) == [1, 1]  # no sharing between L1s
 
 
 class TestWritebackPath:

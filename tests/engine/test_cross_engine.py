@@ -10,10 +10,13 @@ without a C toolchain simply has no other engine to compare (and the
 suite still proves the python fallback runs the corpus).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.bench.golden import diff_payloads
-from repro.engine import COMPILED, PYTHON, available_engines
+from repro.engine import COMPILED, PYTHON, available_engines, compiled
+from repro.engine.build import ST_EVBUF_FULL, load_kernel
 from repro.experiment import Experiment
 from repro.orchestration.serialize import run_result_to_dict
 from repro.scenarios.corpus import corpus_scenario
@@ -140,6 +143,61 @@ def test_arrivals_mid_takeover_warm_in_the_kernel(
     # the resume path was exercised rather than a sweep that never met
     # an in-flight takeover.
     assert bailed_lines, f"{name}: no warm line completed a takeover"
+
+
+#: cells run with an event buffer at the kernel's 2,048-triple
+#: headroom, so every span and warm sweep bails with ST_EVBUF_FULL as
+#: soon as one event triple is pending: cooperative takeovers with
+#: flush-timeline events under a governor, a UCP run that completes a
+#: transition (the EV_TRANS_DUR replay), and late arrivals whose warm
+#: sweeps resume after the bail
+EVBUF_BAILS = [
+    ("storm-2c-s000", "cooperative", "coordinated"),
+    ("diurnal-4c-s000", "ucp", None),
+    ("diurnal-4c-s001", "cooperative", None),
+]
+
+
+class _CountingKernel:
+    """The loaded kernel, counting the statuses its loops return."""
+
+    def __init__(self):
+        self.kernel = load_kernel()
+        self.statuses = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def repro_run_span(self, ctx):
+        status = self.kernel.repro_run_span(ctx)
+        self.statuses["span", status] += 1
+        return status
+
+    def repro_warm_sweep(self, ctx):
+        status = self.kernel.repro_warm_sweep(ctx)
+        self.statuses["warm", status] += 1
+        return status
+
+
+@pytest.mark.skipif(not _COMPILED_AVAILABLE, reason="no compiled engine")
+@pytest.mark.parametrize("case", EVBUF_BAILS, ids=_case_id)
+def test_event_buffer_bails_resume_bit_for_bit(case, references, monkeypatch):
+    expected = references(case, monkeypatch)
+    kernel = _CountingKernel()
+    monkeypatch.setattr(compiled, "_EVBUF_TRIPLES", 2048)
+    monkeypatch.setattr(compiled, "load_kernel", lambda: kernel)
+    actual = _run(case, COMPILED, monkeypatch)
+    mismatches = diff_payloads(expected, actual)
+    assert not mismatches, "\n  ".join(mismatches[:20])
+    # Guard the guard: the bails fired, on the paths each case covers.
+    assert kernel.statuses["span", ST_EVBUF_FULL]
+    name, policy, governor = case
+    if policy == "ucp":
+        assert expected["policy_stats"]["transition_durations"]
+    else:
+        assert sum(expected["policy_stats"]["takeover_events"].values())
+    if name == "diurnal-4c-s001":  # the late-arrival case
+        assert kernel.statuses["warm", ST_EVBUF_FULL]
 
 
 #: corpus cells whose restricted probes leave stale duplicate copies of

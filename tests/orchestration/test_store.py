@@ -1,5 +1,6 @@
 """The result store: round-trips, key stability, corruption recovery."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import COMPILED, available_engines
 from repro.experiment import Experiment
 import repro
 
@@ -79,12 +81,23 @@ class TestTaskKeys:
 
 
 class TestSerialisation:
-    def test_run_result_round_trip(self, tiny_two_core):
+    def test_run_result_round_trip(self, tiny_two_core, store, monkeypatch):
+        if COMPILED in available_engines():
+            monkeypatch.setenv("REPRO_ENGINE", COMPILED)
         runner = ExperimentRunner()
         run = runner.run(Experiment("G2-4", "cooperative", tiny_two_core))
-        clone = run_result_from_dict(
-            json.loads(json.dumps(run_result_to_dict(run)))
+        key = group_task_key(tiny_two_core, "G2-4", "cooperative")
+        store.put(key, run_result_to_dict(run), kind="group")
+        clone = run_result_from_dict(store.get(key))
+        # A fresh result equals its store round-trip field for field,
+        # and its live PolicyStats has the container types a load builds.
+        assert dataclasses.replace(clone, policy_stats=None) == (
+            dataclasses.replace(run, policy_stats=None)
         )
+        assert vars(clone.policy_stats) == vars(run.policy_stats)
+        assert {
+            name: type(value) for name, value in vars(clone.policy_stats).items()
+        } == {name: type(value) for name, value in vars(run.policy_stats).items()}
         assert clone.ipcs() == run.ipcs()
         assert clone.dynamic_energy_nj == run.dynamic_energy_nj
         assert clone.static_power_nw == run.static_power_nw
