@@ -1,9 +1,9 @@
 """Set-associative cache substrate.
 
 This subpackage models the memory system the paper's evaluation runs
-on: cache geometry and address decomposition, individual cache sets
-with true-LRU recency stacks and per-line owner/dirty state, a
-set-associative cache built from those sets, victim-selection
+on: cache geometry and address decomposition, a set-associative cache
+holding true-LRU recency stamps and per-line owner/dirty state in flat
+columns (with per-set views for introspection), victim-selection
 strategies, a banked DRAM model with writeback/bandwidth accounting,
 and the private-L1 / shared-L2 hierarchy from Table 2 of the paper.
 """

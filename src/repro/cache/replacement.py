@@ -15,11 +15,10 @@ a fill:
 * random among permitted ways — used for the way-choice ablation the
   paper discusses under "Performance Overheads" (Section 2.5).
 
-All selectors operate on :class:`CacheSet`'s stamp-based recency:
-"least recently used among a subset" is a min-stamp scan over the
-candidate ways, so nothing here allocates per eviction (the old
-implementation built a ``set(ways)`` and walked the whole recency
-stack for every choice).
+All selectors read the cache's flat line-state columns
+(:mod:`repro.cache.set_associative`) at the chosen set, and recency is
+stamp-based: "least recently used among a subset" is a min-stamp scan
+over the candidate ways.
 """
 
 from __future__ import annotations
@@ -27,22 +26,26 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 
-from repro.cache.cache_set import NO_TAG, CacheSet
+from repro.cache.cache_set import NO_TAG
+from repro.cache.set_associative import SetAssociativeCache
 
 
 class VictimSelector(ABC):
     """Strategy interface: choose the way a new line is filled into."""
 
     @abstractmethod
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        """Return the victim way for ``core`` among the ``ways`` subset."""
+    def select(self, cache: SetAssociativeCache, set_index: int, core: int,
+               ways: tuple[int, ...]) -> int:
+        """Return the victim way of ``set_index`` for ``core`` among
+        the ``ways`` subset."""
 
 
 class LRUVictimSelector(VictimSelector):
     """Evict the least recently used line among the permitted ways."""
 
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        return cset.victim(ways)
+    def select(self, cache: SetAssociativeCache, set_index: int, core: int,
+               ways: tuple[int, ...]) -> int:
+        return cache.victim(set_index, ways)
 
 
 class RandomVictimSelector(VictimSelector):
@@ -54,10 +57,12 @@ class RandomVictimSelector(VictimSelector):
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        tags = cset.tags
+    def select(self, cache: SetAssociativeCache, set_index: int, core: int,
+               ways: tuple[int, ...]) -> int:
+        tags = cache.tags
+        base = set_index * cache.geometry.ways
         for way in ways:
-            if tags[way] == NO_TAG:
+            if tags[base + way] == NO_TAG:
                 return way
         return self._rng.choice(list(ways))
 
@@ -82,8 +87,7 @@ class PartitionAwareVictimSelector(VictimSelector):
         self._ways = ways
         self.targets: dict[int, int] = {}
         #: dense mirrors of ``targets`` indexed by core id, plus a
-        #: preallocated per-call occupancy scratch — the select path
-        #: allocates nothing
+        #: preallocated per-call occupancy scratch
         self._target_list: list[int | None] = []
         self._counts: list[int] = []
 
@@ -94,8 +98,12 @@ class PartitionAwareVictimSelector(VictimSelector):
         self._target_list = [targets.get(core) for core in range(size)]
         self._counts = [0] * size
 
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        tags = cset.tags
+    def select(self, cache: SetAssociativeCache, set_index: int, core: int,
+               ways: tuple[int, ...]) -> int:
+        width = self._ways
+        base = set_index * width
+        end = base + width
+        tags = cache.tags[base:end]
         if NO_TAG in tags:
             for way in ways:
                 if tags[way] == NO_TAG:
@@ -105,14 +113,14 @@ class PartitionAwareVictimSelector(VictimSelector):
         # per candidate way.  Owners without an entry in the target
         # table count as over-occupying, exactly like the historical
         # `targets.get(owner) is None` case.
-        owner = cset.owner
-        stamp = cset.stamp
+        owner = cache.owner[base:end]
+        stamp = cache.stamp[base:end]
         target_list = self._target_list
         counts = self._counts
         known = len(counts)
         for index in range(known):
             counts[index] = 0
-        for way in range(cset.ways):
+        for way in range(width):
             if tags[way] != NO_TAG:
                 line_owner = owner[way]
                 if 0 <= line_owner < known:
@@ -147,4 +155,4 @@ class PartitionAwareVictimSelector(VictimSelector):
                     best_stamp = s
         if best >= 0:
             return best
-        return cset.victim(ways)
+        return cache.victim(set_index, ways)

@@ -1,25 +1,49 @@
-"""A set-associative cache assembled from :class:`CacheSet` objects.
+"""A set-associative cache: flat line-state columns for the whole cache.
 
 This class provides *mechanism only*: probe a subset of ways, fill a
 line evicting a chosen victim, flush or invalidate lines.  All *policy*
 (which ways may be probed or filled, who the victim is, what happens on
 an epoch boundary) lives in ``repro.partitioning`` and ``repro.core``.
 
-Per-core occupancy is tracked **incrementally**: ``core_occupancy``
-is updated on every install, invalidation and ownership transfer, so
-:meth:`occupancy_by_core` is an O(cores) read instead of the full
-sets x ways scan it used to be.  The simulator's inlined fill paths
-(:mod:`repro.sim.simulator`, :mod:`repro.partitioning.base`) maintain
-the same counters.
-"""
+Representation.  Line state is one flat column per field for the whole
+cache, line ``way`` of set ``s`` at ``s * ways + way``.  The Python
+engine mutates the columns in place and the compiled kernel addresses
+them directly (one pointer per column, taken once per run), so they are
+never rebound and never change length.  Whole-way operations read and
+write strided slices (``tags[way::ways]``) instead of looping over sets.
 
+* ``tags``/``owner`` are ``array('q')`` columns with a ``-1`` sentinel
+  (:data:`NO_TAG`/``NO_OWNER``); an invalid line is always unowned;
+* ``dirty`` is an ``array('B')`` of 0/1 flags;
+* recency is a monotonically increasing **stamp** per line: a touch
+  stores the cache's one-element ``clock`` and advances it, and the LRU
+  victim is the minimum stamp among the candidate ways (stamps are
+  only compared within a set, so one counter per cache induces the
+  order per-set counters would);
+* ``mapped`` is the LLC lookup column: it holds a tag only at the way
+  with the *most recently installed* copy of that tag in its set.  An
+  install clears any older copy's entry and an evict or invalidate
+  clears its own, and the LLC's probe scans ``mapped``, not ``tags``,
+  so a stale duplicate left by a restricted probe stays invisible (and
+  is written back when it is evicted, if dirty).  L1 paths probe every
+  way, never leave a duplicate, scan ``tags`` and leave ``mapped`` alone.
+
+Per-core occupancy is tracked **incrementally** in ``core_occupancy``
+(every install, invalidation and ownership transfer; the simulator's
+inlined fill paths maintain the same counters), so
+:meth:`occupancy_by_core` is an O(cores) read.
+:class:`~repro.cache.cache_set.CacheSet` views one set, for
+introspection and tests.
+"""
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.cache.cache_set import NO_TAG, NO_WAY, CacheSet
 from repro.cache.geometry import CacheGeometry
+from repro.cache.line import NO_OWNER
 
 
 @dataclass(frozen=True)
@@ -53,15 +77,22 @@ class AccessResult:
 
 
 class SetAssociativeCache:
-    """Array of cache sets plus address decomposition helpers."""
+    """Flat line-state columns plus address decomposition helpers."""
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
+        ways = geometry.ways
+        lines = geometry.num_sets * ways
+        self.tags = array("q", [NO_TAG]) * lines
+        self.mapped = array("q", [NO_TAG]) * lines
+        self.owner = array("q", [NO_OWNER]) * lines
+        self.dirty = array("B", bytes(lines))
+        # Initial recency matches the historical stack [0, 1, .., w-1]
+        # (way 0 most recent) in every set; stamps stay unique within
+        # a set because the clock only moves forward and starts past them.
+        self.stamp = array("q", range(ways, 0, -1)) * geometry.num_sets
         #: the recency counter every set of this cache stamps from
-        self.clock = array("q", [geometry.ways + 1])
-        self.sets = [
-            CacheSet(geometry.ways, self.clock) for _ in range(geometry.num_sets)
-        ]
+        self.clock = array("q", [ways + 1])
         #: valid lines per owning core, maintained incrementally;
         #: grown on demand (owner ids are small non-negative ints)
         self.core_occupancy = array("q")
@@ -79,6 +110,76 @@ class SetAssociativeCache:
             counters.extend([0] * (n_cores - len(counters)))
         return counters
 
+    @property
+    def sets(self) -> list[CacheSet]:
+        """A fresh :class:`CacheSet` view of every set (introspection)."""
+        geometry = self.geometry
+        return [CacheSet(geometry.ways, self, s) for s in range(geometry.num_sets)]
+
+    # ------------------------------------------------------------------
+    # Per-set operations (``way`` is relative to its set)
+    # ------------------------------------------------------------------
+    def find(self, set_index: int, tag: int, ways: tuple[int, ...] | None = None) -> int:
+        """The way of ``set_index`` holding ``tag`` among ``ways`` (all
+        if None), or :data:`NO_WAY`.  A scan of ``tags``: the LLC's
+        inner loop scans ``mapped`` with way masks instead."""
+        width = self.geometry.ways
+        base = set_index * width
+        tags = self.tags[base:base + width]
+        if ways is None:
+            return tags.index(tag) if tag in tags else NO_WAY
+        for way in ways:
+            if tags[way] == tag:
+                return way
+        return NO_WAY
+
+    def touch(self, set_index: int, way: int) -> None:
+        """Promote a line to MRU."""
+        clock = self.clock
+        self.stamp[set_index * self.geometry.ways + way] = clock[0]
+        clock[0] += 1
+
+    def victim(self, set_index: int, ways: tuple[int, ...] | None = None) -> int:
+        """LRU victim of ``set_index`` among ``ways`` (all if None).
+
+        Invalid ways are returned first (fill before evict); otherwise
+        the least recently used permitted way is chosen.
+        """
+        width = self.geometry.ways
+        base = set_index * width
+        tags = self.tags[base:base + width]
+        if NO_TAG in tags:
+            if ways is None:
+                return tags.index(NO_TAG)
+            for way in ways:
+                if tags[way] == NO_TAG:
+                    return way
+        stamp = self.stamp[base:base + width]
+        if ways is None:
+            return stamp.index(min(stamp))
+        if not ways:
+            raise ValueError("victim() called with an empty way set")
+        return min(ways, key=stamp.__getitem__)
+
+    def install(self, set_index: int, way: int, tag: int, owner: int, dirty: bool) -> None:
+        """Put a new line in (set, way) and make it MRU; the one older
+        mapped copy of ``tag`` in the set, if any, is unmapped.  Leaves
+        the occupancy counters alone (see :meth:`fill`)."""
+        width = self.geometry.ways
+        base = set_index * width
+        mapped = self.mapped
+        older = mapped[base:base + width]
+        if tag in older:
+            mapped[base + older.index(tag)] = NO_TAG
+        slot = base + way
+        self.tags[slot] = tag
+        mapped[slot] = tag
+        self.dirty[slot] = 1 if dirty else 0
+        self.owner[slot] = owner
+        clock = self.clock
+        self.stamp[slot] = clock[0]
+        clock[0] += 1
+
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
@@ -93,13 +194,8 @@ class SetAssociativeCache:
         """
         geometry = self.geometry
         set_index = line_address & geometry.set_mask
-        tag = line_address >> geometry.set_shift
-        way = self.sets[set_index].find(tag, ways)
+        way = self.find(set_index, line_address >> geometry.set_shift, ways)
         return way != NO_WAY, way, set_index
-
-    def touch(self, set_index: int, way: int) -> None:
-        """Promote a hit line to MRU."""
-        self.sets[set_index].touch(way)
 
     # ------------------------------------------------------------------
     # Filling
@@ -119,17 +215,17 @@ class SetAssociativeCache:
         """
         geometry = self.geometry
         set_index = line_address & geometry.set_mask
-        tag = line_address >> geometry.set_shift
-        cset = self.sets[set_index]
-        evicted_tag = cset.tags[victim_way]
+        slot = set_index * geometry.ways + victim_way
+        evicted_tag = self.tags[slot]
         evicted = evicted_tag != NO_TAG
-        evicted_dirty = bool(cset.dirty[victim_way]) if evicted else False
-        evicted_owner = cset.owner[victim_way] if evicted else -1
+        evicted_dirty = bool(self.dirty[slot]) if evicted else False
+        evicted_owner = self.owner[slot] if evicted else -1
         counters = self.ensure_cores(max(core, evicted_owner) + 1)
         if evicted and evicted_owner >= 0:
             counters[evicted_owner] -= 1
         counters[core] += 1
-        cset.install(victim_way, tag, core, is_write)
+        self.install(set_index, victim_way, line_address >> geometry.set_shift,
+                     core, is_write)
         return AccessResult(
             hit=False,
             way=victim_way,
@@ -150,12 +246,40 @@ class SetAssociativeCache:
         line stays valid — cooperative takeover flushes data early but
         keeps it readable until ownership transfers.
         """
-        cset = self.sets[set_index]
-        tag = cset.tags[way]
-        if tag == NO_TAG or not cset.dirty[way]:
+        slot = set_index * self.geometry.ways + way
+        tag = self.tags[slot]
+        if tag == NO_TAG or not self.dirty[slot]:
             return None
-        cset.dirty[way] = 0
+        self.dirty[slot] = 0
         return self.geometry.rebuild_line_address(tag, set_index)
+
+    def _dirty_lines(self, way: int) -> list[int]:
+        """Addresses of the valid dirty lines in ``way``, in set order."""
+        width = self.geometry.ways
+        tags = self.tags[way::width]
+        shift = self.geometry.set_shift
+        return [
+            (tags[set_index] << shift) | set_index
+            for set_index in compress(range(len(tags)), self.dirty[way::width])
+            if tags[set_index] != NO_TAG
+        ]
+
+    def flush_ways(self, ways: tuple[int, ...]) -> list[int]:
+        """:meth:`flush_way_in_set` for every set and each of ``ways``.
+
+        Returns the flushed line addresses set by set, and within a set
+        in the order of ``ways`` — the order the writebacks must reach
+        the memory's bank timers.
+        """
+        geometry = self.geometry
+        flushed = sorted(
+            (address & geometry.set_mask, rank, address)
+            for rank, way in enumerate(ways)
+            for address in self._dirty_lines(way)
+        )
+        for set_index, rank, _ in flushed:
+            self.dirty[set_index * geometry.ways + ways[rank]] = 0
+        return [address for _, _, address in flushed]
 
     def invalidate_way(self, way: int) -> list[int]:
         """Invalidate ``way`` across every set, returning dirty line addresses.
@@ -166,33 +290,31 @@ class SetAssociativeCache:
         invalidation takes effect architecturally; we return them for
         bandwidth/energy accounting.
         """
-        flushed: list[int] = []
-        rebuild = self.geometry.rebuild_line_address
+        flushed = self._dirty_lines(way)
+        width = self.geometry.ways
         counters = self.core_occupancy
-        n_known = len(counters)
-        for set_index, cset in enumerate(self.sets):
-            tag = cset.tags[way]
-            if tag != NO_TAG:
-                if cset.dirty[way]:
-                    flushed.append(rebuild(tag, set_index))
-                owner = cset.owner[way]
-                if 0 <= owner < n_known:
-                    counters[owner] -= 1
-            cset.invalidate(way)
+        owners = self.owner[way::width]
+        for core in range(len(counters)):
+            counters[core] -= owners.count(core)
+        invalid = array("q", [NO_TAG]) * self.geometry.num_sets
+        self.tags[way::width] = invalid
+        self.mapped[way::width] = invalid
+        self.owner[way::width] = invalid
+        self.dirty[way::width] = array("B", bytes(self.geometry.num_sets))
         return flushed
 
     def transfer_ownership(self, set_index: int, way: int, owner: int) -> None:
         """Reassign a valid line's owner, keeping the counters exact."""
-        cset = self.sets[set_index]
-        if cset.tags[way] == NO_TAG:
+        slot = set_index * self.geometry.ways + way
+        if self.tags[slot] == NO_TAG:
             return
-        counters = self.ensure_cores(max(owner, cset.owner[way]) + 1)
-        previous = cset.owner[way]
+        previous = self.owner[slot]
+        counters = self.ensure_cores(max(owner, previous) + 1)
         if previous >= 0:
             counters[previous] -= 1
         if owner >= 0:
             counters[owner] += 1
-        cset.set_owner(way, owner)
+        self.owner[slot] = owner
 
     # ------------------------------------------------------------------
     # Introspection
@@ -205,6 +327,4 @@ class SetAssociativeCache:
 
     def valid_line_count(self) -> int:
         """Number of valid lines in the cache."""
-        return sum(
-            cset.ways - cset.tags.count(NO_TAG) for cset in self.sets
-        )
+        return len(self.tags) - self.tags.count(NO_TAG)

@@ -3,12 +3,13 @@
 The kernel is a single C file (``kernel.c``) compiled on first use
 with whatever C compiler the host provides (``$CC``, then ``cc``,
 ``gcc``, ``clang``).  The shared object is cached under a name derived
-from the SHA-256 of the source *and the active build flags*, so
-editing the kernel — or upgrading the package, or changing the
-sanitizer mode — transparently triggers a rebuild, while repeated
-runs reuse the cached binary.  Everything here raises on failure;
-:func:`repro.engine.compiled_available` treats any exception as "no
-compiled engine" and the simulator falls back to the portable tiers.
+from the SHA-256 of the source, the resolved compiler path *and the
+full build flags*, so editing the kernel — or upgrading the package,
+switching compilers or changing the sanitizer mode — transparently
+triggers a rebuild, while repeated runs reuse the cached binary.
+Everything here raises on failure; :func:`repro.engine.compiled_available`
+treats any exception as "no compiled engine" and the simulator falls
+back to the portable tiers.
 
 Sanitizer builds: ``REPRO_CC_SANITIZE=address,undefined`` threads the
 matching ``-fsanitize=...`` flags (plus ``-g`` and
@@ -37,6 +38,9 @@ import tempfile
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("kernel.c")
+
+#: the flags of every kernel build, ahead of any sanitizer flags
+_BASE_FLAGS = ("-O2", "-fPIC", "-shared")
 
 #: Bail-out statuses returned by ``repro_run_span`` (mirror kernel.c).
 ST_DONE = 0
@@ -79,6 +83,11 @@ def sanitize_flags() -> tuple[str, ...]:
     return tuple(flags)
 
 
+def build_flags() -> tuple[str, ...]:
+    """The full compiler flag list of a kernel build."""
+    return (*_BASE_FLAGS, *sanitize_flags())
+
+
 def _find_compiler() -> str:
     candidates = []
     env_cc = os.environ.get("CC")
@@ -95,9 +104,7 @@ def _find_compiler() -> str:
 def _compile(source: Path, out: Path) -> None:
     compiler = _find_compiler()
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    cmd = [compiler, "-O2", "-fPIC", "-shared",
-           *sanitize_flags(),
-           "-o", str(tmp), str(source)]
+    cmd = [compiler, *build_flags(), "-o", str(tmp), str(source)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -111,12 +118,11 @@ def _compile(source: Path, out: Path) -> None:
 
 
 def kernel_path() -> Path:
-    """Path of the cached shared object for the current source and
-    build flags (sanitizer mode included — see :func:`sanitize_flags`)."""
+    """Path of the cached shared object for the current source, the
+    resolved compiler (symlinks followed) and :func:`build_flags`."""
     hasher = hashlib.sha256(_SOURCE.read_bytes())
-    flags = sanitize_flags()
-    if flags:
-        hasher.update("\0".join(flags).encode("utf-8"))
+    for part in (os.path.realpath(_find_compiler()), *build_flags()):
+        hasher.update(b"\0" + part.encode("utf-8"))
     digest = hasher.hexdigest()[:16]
     return _cache_dir() / f"repro_kernel_{digest}.so"
 

@@ -14,14 +14,15 @@ and one format, that owner's own arrays; the kernel mutates it **in
 place**:
 
 * shared for the whole run (addresses taken once in :class:`_Marshal`;
-  the owners never rebind or resize these arrays): every L1 and LLC
-  set's ``tags``/``mapped``/``stamp``/``owner``/``dirty`` columns,
-  each cache's recency ``clock`` and ``core_occupancy`` counters, each
-  ATD's ``stack``/``depth``, the simulator's per-core scheduler
-  columns (:class:`~repro.sim.cpu.CoreColumns`), the hierarchy's L1
-  counters, the :class:`~repro.partitioning.base.PolicyStats` per-core
-  counters, the policy's way tables, the memory's bank timers and the
-  DVFS timing rows and stall counters;
+  the owners never rebind or resize these arrays): the flat
+  ``tags``/``mapped``/``stamp``/``owner``/``dirty`` columns of every L1
+  and the LLC (no per-set pointer tables), each cache's recency
+  ``clock`` and ``core_occupancy`` counters, each ATD's
+  ``stack``/``depth``, the simulator's per-core scheduler columns
+  (:class:`~repro.sim.cpu.CoreColumns`), the hierarchy's L1 counters,
+  the :class:`~repro.partitioning.base.PolicyStats` per-core counters,
+  the policy's way tables, the memory's bank timers and the DVFS timing
+  rows and stall counters;
 * shared per span (addresses refreshed in ``span_in``, because the
   objects are replaced mid-run): trace columns, takeover-vector
   ``bits`` and UCP transition counters.
@@ -113,7 +114,7 @@ class _Ctx(ctypes.Structure):
         "mem_nbanks", "mem_bank_busy", "mem_bank_shift",
         "flush_bucket_cycles", "stats_bucket_cycles", "has_monitors",
         "umon_mask", "umon_offset", "umon_shift",
-        "last_decision_cycle", "l1_nsets", "l1_ways", "l1_mask", "l1_shift",
+        "last_decision_cycle", "l1_ways", "l1_mask", "l1_shift",
         # loop state
         "warmed_up", "unfinished", "boundary", "bail_now", "bail_core",
         # per-core scalars
@@ -273,7 +274,6 @@ class _Marshal:
         ctx.umon_offset = policy._umon_offset
         # an ATD slot is its set's index among the sampled sets
         ctx.umon_shift = (policy._umon_mask + 1).bit_length() - 1 if atds else 0
-        ctx.l1_nsets = l1_geom.num_sets
         ctx.l1_ways = l1_geom.ways
         ctx.l1_mask = sim._l1_mask
         ctx.l1_shift = sim._l1_shift
@@ -287,33 +287,27 @@ class _Marshal:
         columns = sim.core_columns
         for name in COLUMN_FIELDS:
             setattr(ctx, "core_" + name, _addr(getattr(columns, name)))
-        l1_sets = [cset for core in sim.cores for cset in core.l1_sets]
-        llc_sets = policy._sets
+        # per-core pointer tables: each L1's columns, clock and counters
         self._tables = tables = {
-            "l1_tags": _table(cset.tags for cset in l1_sets),
-            "l1_stamp": _table(cset.stamp for cset in l1_sets),
-            "l1_owner": _table(cset.owner for cset in l1_sets),
-            "l1_dirty": _table(cset.dirty for cset in l1_sets),
-            "l1_clock": _table(l1.clock for l1 in hierarchy.l1),
-            "l1_occ": _table(l1.core_occupancy for l1 in hierarchy.l1),
-            "llc_tags": _table(cset.tags for cset in llc_sets),
-            "llc_stamp": _table(cset.stamp for cset in llc_sets),
-            "llc_owner": _table(cset.owner for cset in llc_sets),
-            "llc_dirty": _table(cset.dirty for cset in llc_sets),
-            "llc_mapped": _table(cset.mapped for cset in llc_sets),
-            "atd_stack": _table(atd.stack for atd in atds),
-            "atd_len": _table(atd.depth for atd in atds),
+            "l1_" + name: _table(getattr(l1, name) for l1 in hierarchy.l1)
+            for name in ("tags", "stamp", "owner", "dirty", "clock")
         }
+        tables["l1_occ"] = _table(l1.core_occupancy for l1 in hierarchy.l1)
+        tables["atd_stack"] = _table(atd.stack for atd in atds)
+        tables["atd_len"] = _table(atd.depth for atd in atds)
         for name, table in tables.items():
             setattr(ctx, name, _addr(table))
         stats = sim.stats
         dvfs = sim.dvfs
+        llc = policy.cache
+        for name in ("tags", "stamp", "owner", "dirty", "mapped"):
+            setattr(ctx, "llc_" + name, _addr(getattr(llc, name)))
         for name, owned in (
             ("l1_hits", hierarchy.l1_hits),
             ("l1_misses", hierarchy.l1_misses),
             ("l1_writebacks", hierarchy.l1_writebacks),
-            ("llc_clock", policy.cache.clock),
-            ("llc_occ", policy.cache.core_occupancy),
+            ("llc_clock", llc.clock),
+            ("llc_occ", llc.core_occupancy),
             ("probe_mask", policy._probe_masks),
             ("probe_count", policy._probe_counts),
             ("fill_count", policy._fill_counts),
@@ -633,20 +627,17 @@ def _scalar_ref(sim, ci, target, warmup, unfinished, warmed_up, clock,
 
     set_index = address & sim._l1_mask
     tag = address >> sim._l1_shift
-    cset = core.l1_sets[set_index]
-    tags = cset.tags
-    if tag in tags:
-        way = tags.index(tag)
-        recency = cset.clock
-        cset.stamp[way] = recency[0]
-        recency[0] += 1
+    l1 = core.l1
+    way = l1.find(set_index, tag)
+    if way >= 0:
+        l1.touch(set_index, way)
         if is_write:
-            cset.dirty[way] = 1
+            l1.dirty[set_index * sim._l1_ways + way] = 1
         sim.hierarchy.l1_hits[ci] += 1
         times[ci] = issue_time + hit_latency
     else:
         times[ci] = issue_time + sim._l1_miss(
-            ci, address, is_write, issue_time, cset, set_index, tag
+            ci, address, is_write, issue_time, l1, set_index, tag
         )
     columns.instructions[ci] += gap + 1
     position += 1

@@ -29,11 +29,12 @@
  * transfer-flush buckets, transition durations) are recorded into an
  * ordered event buffer the Python driver replays on span exit.
  *
- * Machine state has one format, shared with Python: every per-set
- * column (tags, mapped, stamp, owner, dirty), every recency clock and
- * ATD stack, the per-core scheduler columns, counters, way tables and
- * DVFS rows are the Python owners' own arrays, reached through
- * pointers set once per run and mutated in place.
+ * Machine state has one format, shared with Python: every cache's flat
+ * line-state columns (tags, mapped, stamp, owner, dirty; line `way` of
+ * set `s` at s * ways + way), recency clocks and ATD stacks, the
+ * per-core scheduler columns, counters, way tables and DVFS rows are
+ * the Python owners' own arrays, reached through pointers set once per
+ * run and mutated in place.
  *
  * The struct layout below is mirrored field-for-field by the ctypes
  * Structure in repro/engine/compiled.py; every field is 8 bytes wide
@@ -92,7 +93,6 @@ typedef struct {
     i64 umon_offset;
     i64 umon_shift;
     i64 last_decision_cycle;  /* -1 = None */
-    i64 l1_nsets;
     i64 l1_ways;
     i64 l1_mask;
     i64 l1_shift;
@@ -123,7 +123,7 @@ typedef struct {
     i64 **trace_addr;
     int8_t **trace_writes;
 
-    /* ---- L1 columns: index [core * l1_nsets + set] ---- */
+    /* ---- L1 columns: per core, [set * l1_ways + way] of its L1 ---- */
     i64 **l1_tags;
     i64 **l1_stamp;
     i64 **l1_owner;
@@ -134,13 +134,13 @@ typedef struct {
     i64 *l1_misses;     /* per core */
     i64 *l1_writebacks; /* per core */
 
-    /* ---- LLC columns: index [set] ---- */
-    i64 **llc_tags;
-    i64 **llc_stamp;
-    i64 **llc_owner;
-    uint8_t **llc_dirty;
+    /* ---- LLC columns: [set * llc_ways + way] ---- */
+    i64 *llc_tags;
+    i64 *llc_stamp;
+    i64 *llc_owner;
+    uint8_t *llc_dirty;
     i64 *llc_clock;    /* the LLC's one recency counter */
-    i64 **llc_mapped;  /* [set][way] = tag whose newest copy is way, -1 none */
+    i64 *llc_mapped;   /* the tag whose newest copy is this way, -1 none */
     i64 *llc_occ;      /* per core */
 
     /* ---- policy fast tables (per core) ---- */
@@ -280,8 +280,8 @@ static void note_transfer_flush(Ctx *c, i64 now)
 /* TakeoverEngine._flush_ways_in_set() */
 static void flush_ways_in_set(Ctx *c, const i64 *ways, i64 n, i64 set, i64 now)
 {
-    i64 *tags = c->llc_tags[set];
-    uint8_t *dirty = c->llc_dirty[set];
+    i64 *tags = c->llc_tags + set * c->llc_ways;
+    uint8_t *dirty = c->llc_dirty + set * c->llc_ways;
     for (i64 k = 0; k < n; k++) {
         i64 way = ways[k];
         i64 tag = tags[way];
@@ -375,11 +375,11 @@ static i64 lru_victim(const i64 *tags, const i64 *stamp, i64 W)
     return best;
 }
 
-/* CacheSet.victim(ways): fc < 0 means "all ways" */
+/* SetAssociativeCache.victim(set, ways): fc < 0 means "all ways" */
 static i64 set_victim(Ctx *c, i64 set, i64 fc, const i64 *fw)
 {
-    i64 *tags = c->llc_tags[set];
-    i64 *stamp = c->llc_stamp[set];
+    i64 *tags = c->llc_tags + set * c->llc_ways;
+    i64 *stamp = c->llc_stamp + set * c->llc_ways;
     if (fc < 0)
         return lru_victim(tags, stamp, c->llc_ways);
     for (i64 k = 0; k < fc; k++)
@@ -401,15 +401,15 @@ static i64 set_victim(Ctx *c, i64 set, i64 fc, const i64 *fw)
 static i64 ucp_select(Ctx *c, i64 core, i64 set, i64 fc, const i64 *fw)
 {
     i64 W = c->llc_ways;
-    i64 *tags = c->llc_tags[set];
+    i64 *tags = c->llc_tags + set * W;
     i64 n = fc < 0 ? W : fc;
     for (i64 k = 0; k < n; k++) {
         i64 w = fc < 0 ? k : fw[k];
         if (tags[w] == NO_TAG)
             return w;
     }
-    i64 *owner = c->llc_owner[set];
-    i64 *stamp = c->llc_stamp[set];
+    i64 *owner = c->llc_owner + set * W;
+    i64 *stamp = c->llc_stamp + set * W;
     i64 known = c->ucp_known;
     i64 *counts = c->ucp_counts;
     for (i64 i = 0; i < known; i++)
@@ -469,7 +469,7 @@ static i64 coop_select(Ctx *c, i64 core, i64 set, i64 fc, const i64 *fw)
     if (c->engine_active) {
         i64 n = c->coop_recv_count[core];
         const i64 *rw = c->coop_recv_ways + core * c->llc_ways;
-        i64 *owner = c->llc_owner[set];
+        i64 *owner = c->llc_owner + set * c->llc_ways;
         for (i64 k = 0; k < n; k++)
             if (owner[rw[k]] != core)
                 return rw[k];
@@ -520,7 +520,8 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 W = c->llc_ways;
     i64 set = addr & c->llc_set_mask;
     i64 tag = addr >> c->llc_set_shift;
-    i64 *mapped = c->llc_mapped[set];
+    i64 line = set * W; /* the set's first line in every column */
+    i64 *mapped = c->llc_mapped + line;
     i64 pm = c->probe_mask[core];
     i64 np = c->probe_count[core];
     i64 way = -1;
@@ -554,12 +555,12 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     if (c->pre_access_active)
         coop_on_access(c, core, set, hit, now);
 
-    i64 *tags = c->llc_tags[set];
+    i64 *tags = c->llc_tags + line;
     if (hit) {
         if (!c->pre_access_active || tags[way] == tag) {
-            c->llc_stamp[set][way] = (*c->llc_clock)++;
+            c->llc_stamp[line + way] = (*c->llc_clock)++;
             if (is_write) {
-                c->llc_dirty[set][way] = 1;
+                c->llc_dirty[line + way] = 1;
                 c->e_data_writes++;
             }
         }
@@ -595,8 +596,8 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
 
     /* Inline fill (mirrors access_fast / SetAssociativeCache.fill). */
     i64 old_tag = tags[victim];
-    uint8_t *dirty = c->llc_dirty[set];
-    i64 *owner = c->llc_owner[set];
+    uint8_t *dirty = c->llc_dirty + line;
+    i64 *owner = c->llc_owner + line;
     i64 evicted_dirty = 0;
     i64 evicted_owner = -1;
     if (old_tag != NO_TAG) {
@@ -617,7 +618,7 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     mapped[victim] = tag;
     dirty[victim] = is_write ? 1 : 0;
     owner[victim] = core;
-    c->llc_stamp[set][victim] = (*c->llc_clock)++;
+    c->llc_stamp[line + victim] = (*c->llc_clock)++;
     c->llc_occ[core]++;
     c->e_data_writes++;
     if (evicted_dirty) {
@@ -638,9 +639,9 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
 
 /* The L1 probe: full-width, so a scan of the tags (an L1 never holds
  * two copies of a tag).  Returns the way, or -1 on a miss. */
-static i64 l1_find(Ctx *c, i64 sidx, i64 ltag)
+static i64 l1_find(Ctx *c, i64 ci, i64 line, i64 ltag)
 {
-    i64 *ltags = c->l1_tags[sidx];
+    i64 *ltags = c->l1_tags[ci] + line;
     for (i64 w = 0; w < c->l1_ways; w++)
         if (ltags[w] == ltag)
             return w;
@@ -648,23 +649,24 @@ static i64 l1_find(Ctx *c, i64 sidx, i64 ltag)
 }
 
 /* The L1 miss path after the LLC fetch (CMPSimulator._l1_miss): LRU
- * fill of `ltag`, then the dirty victim's writeback through the LLC.
- * Returns 0, or -1 on an internal error. */
-static i64 l1_fill(Ctx *c, i64 ci, i64 sidx, i64 lset, i64 ltag, int is_write,
+ * fill of `ltag` into set `lset` (first line `line`) of core ci's L1,
+ * then the dirty victim's writeback through the LLC.  Returns 0, or
+ * -1 on an internal error. */
+static i64 l1_fill(Ctx *c, i64 ci, i64 line, i64 lset, i64 ltag, int is_write,
                    i64 now)
 {
-    i64 *ltags = c->l1_tags[sidx];
-    i64 victim = lru_victim(ltags, c->l1_stamp[sidx], c->l1_ways);
-    i64 old_tag = ltags[victim];
+    i64 *ltags = c->l1_tags[ci] + line;
+    i64 slot = line + lru_victim(ltags, c->l1_stamp[ci] + line, c->l1_ways);
+    i64 old_tag = c->l1_tags[ci][slot];
     i64 evicted_dirty = 0;
     if (old_tag != NO_TAG)
-        evicted_dirty = c->l1_dirty[sidx][victim];
+        evicted_dirty = c->l1_dirty[ci][slot];
     else
         c->l1_occ[ci][ci]++;
-    ltags[victim] = ltag;
-    c->l1_dirty[sidx][victim] = is_write ? 1 : 0;
-    c->l1_owner[sidx][victim] = ci;
-    c->l1_stamp[sidx][victim] = c->l1_clock[ci][0]++;
+    c->l1_tags[ci][slot] = ltag;
+    c->l1_dirty[ci][slot] = is_write ? 1 : 0;
+    c->l1_owner[ci][slot] = ci;
+    c->l1_stamp[ci][slot] = c->l1_clock[ci][0]++;
     if (evicted_dirty) {
         c->l1_writebacks[ci]++;
         if (llc_access(c, ci, (old_tag << c->l1_shift) | lset, 1, now) < 0)
@@ -685,15 +687,15 @@ static int vec_completes(Ctx *c, i64 donor, i64 s1, i64 s2)
     return c->coop_vec_count[donor] + marks >= c->llc_nsets;
 }
 
-static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 sidx, i64 lset)
+static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 line, i64 lset)
 {
     i64 s1 = addr & c->llc_set_mask;
     /* Would the L1 miss also write back a dirty victim?  The victim
      * choice is deterministic, so compute it read-only. */
     i64 s2 = -1;
-    i64 *ltags = c->l1_tags[sidx];
-    i64 victim = lru_victim(ltags, c->l1_stamp[sidx], c->l1_ways);
-    if (ltags[victim] != NO_TAG && c->l1_dirty[sidx][victim])
+    i64 *ltags = c->l1_tags[core] + line;
+    i64 victim = lru_victim(ltags, c->l1_stamp[core] + line, c->l1_ways);
+    if (ltags[victim] != NO_TAG && c->l1_dirty[core][line + victim])
         s2 = ((ltags[victim] << c->l1_shift) | lset) & c->llc_set_mask;
 
     if (c->coop_donor_count[core] > 0 && vec_completes(c, core, s1, s2))
@@ -764,17 +766,17 @@ i64 repro_run_span(Ctx *c)
 
         i64 lset = addr & c->l1_mask;
         i64 ltag = addr >> c->l1_shift;
-        i64 sidx = ci * c->l1_nsets + lset;
-        i64 lway = l1_find(c, sidx, ltag);
+        i64 line = lset * c->l1_ways;
+        i64 lway = l1_find(c, ci, line, ltag);
         if (lway >= 0) {
-            c->l1_stamp[sidx][lway] = c->l1_clock[ci][0]++;
+            c->l1_stamp[ci][line + lway] = c->l1_clock[ci][0]++;
             if (is_write)
-                c->l1_dirty[sidx][lway] = 1;
+                c->l1_dirty[ci][line + lway] = 1;
             c->l1_hits[ci]++;
             c->core_time[ci] = issue_time + hit_latency;
         } else {
             if (c->engine_active &&
-                coop_would_complete(c, ci, addr, sidx, lset)) {
+                coop_would_complete(c, ci, addr, line, lset)) {
                 c->bail_now = now;
                 c->bail_core = ci;
                 return ST_NEED_PYTHON_REF;
@@ -782,7 +784,7 @@ i64 repro_run_span(Ctx *c)
             c->l1_misses[ci]++;
             i64 mem_lat = llc_access(c, ci, addr, 0, issue_time);
             if (mem_lat < 0 ||
-                l1_fill(c, ci, sidx, lset, ltag, (int)is_write, issue_time) < 0)
+                l1_fill(c, ci, line, lset, ltag, (int)is_write, issue_time) < 0)
                 return ST_ERROR;
             c->core_time[ci] = issue_time + miss_base + mem_lat;
             if (c->has_dvfs)
@@ -851,10 +853,10 @@ i64 repro_warm_sweep(Ctx *c)
             i64 addr = c->warm_lines[ci][r];
             i64 lset = addr & c->l1_mask;
             i64 ltag = addr >> c->l1_shift;
-            i64 sidx = ci * c->l1_nsets + lset;
-            i64 lway = l1_find(c, sidx, ltag);
+            i64 line = lset * c->l1_ways;
+            i64 lway = l1_find(c, ci, line, ltag);
             if (lway >= 0) {
-                c->l1_stamp[sidx][lway] = c->l1_clock[ci][0]++;
+                c->l1_stamp[ci][line + lway] = c->l1_clock[ci][0]++;
                 c->l1_hits[ci]++;
                 c->core_time[ci] = now +
                     (c->has_dvfs ? c->dvfs_entries[ci * 4 + 2]
@@ -862,7 +864,7 @@ i64 repro_warm_sweep(Ctx *c)
                 continue;
             }
             if (c->engine_active &&
-                coop_would_complete(c, ci, addr, sidx, lset)) {
+                coop_would_complete(c, ci, addr, line, lset)) {
                 c->warm_round = r;
                 c->warm_core = ci;
                 c->bail_core = ci;
@@ -870,7 +872,7 @@ i64 repro_warm_sweep(Ctx *c)
             }
             c->l1_misses[ci]++;
             i64 mem_lat = llc_access(c, ci, addr, 0, now);
-            if (mem_lat < 0 || l1_fill(c, ci, sidx, lset, ltag, 0, now) < 0)
+            if (mem_lat < 0 || l1_fill(c, ci, line, lset, ltag, 0, now) < 0)
                 return ST_ERROR;
             if (!c->has_dvfs) {
                 c->core_time[ci] = now + c->miss_latency + mem_lat;

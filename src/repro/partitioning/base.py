@@ -9,12 +9,12 @@ skeleton once, charges energy/statistics uniformly, and exposes hooks
 for the scheme-specific parts.
 
 Hot-path design.  :meth:`BaseSharedCachePolicy.access_fast` is the
-allocation-free inner loop: one flat function, no result objects, no
-per-access hook calls.  The way restrictions are *data*, not code —
-per-core tuples plus precomputed way-membership bitmasks
-(``_probe_masks``) that the built-in schemes keep in sync with their
-partitions — so a probe is a scan of the set's ``mapped`` column and
-one mask test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
+inner loop: one flat function, no result objects, no per-access hook
+calls.  The way restrictions are *data*, not code — per-core tuples
+plus precomputed way-membership bitmasks (``_probe_masks``) that the
+built-in schemes keep in sync with their partitions — so a probe is a
+scan of the set's slice of the cache's ``mapped`` column and one mask
+test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
 remain fully supported: a subclass that overrides them (and does not
 declare ``_ways_are_tabled``) is transparently routed through a
 compatibility path that calls them per access, exactly as before.
@@ -172,7 +172,10 @@ class BaseSharedCachePolicy:
         ways = self.geometry.ways
         cls = type(self)
         base = BaseSharedCachePolicy
-        self._sets = cache.sets
+        # the cache's line-state columns (never rebound)
+        self._ways = ways
+        self._tags, self._mapped, self._dirty = cache.tags, cache.mapped, cache.dirty
+        self._owner, self._stamp, self._clock = cache.owner, cache.stamp, cache.clock
         self._set_mask = self.geometry.set_mask
         self._set_shift = self.geometry.set_shift
         self._occ = cache.ensure_cores(n)
@@ -238,8 +241,7 @@ class BaseSharedCachePolicy:
 
     def _select_victim(self, core: int, set_index: int, ways: tuple[int, ...] | None) -> int:
         """Choose the way a miss by ``core`` fills into."""
-        cset = self.cache.sets[set_index]
-        return cset.victim(ways)
+        return self.cache.victim(set_index, ways)
 
     def _pre_access(self, core: int, set_index: int, now: int, hit: bool) -> None:
         """Called on every access after the probe — takeover hook."""
@@ -356,18 +358,19 @@ class BaseSharedCachePolicy:
     def access_fast(self, core: int, line_address: int, is_write: bool, now: int) -> int:
         """One LLC access; returns the memory latency it incurred.
 
-        Allocation-free: the hit/width outcome is published through
+        The hit/width outcome is published through
         ``last_hit``/``last_probed`` instead of a result object.
         """
         if self._dynamic_ways:
             return self._access_hooked(core, line_address, is_write, now)
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
-        cset = self._sets[set_index]
-        mapped = cset.mapped
+        width = self._ways
+        base = set_index * width
         probe_mask, n_probed, fill_ways = self._core_tables[core]
         # the newest copy of ``tag`` (the only mapped one), which this
         # core hits only when its probe covers that way
+        mapped = self._mapped[base:base + width]
         copy = mapped.index(tag) if tag in mapped else -1
         way = copy if copy >= 0 and (probe_mask >> copy) & 1 else -1
         hit = way >= 0
@@ -396,12 +399,13 @@ class BaseSharedCachePolicy:
             # The takeover hook may have restructured the set (e.g. a
             # power-gating completion invalidated the hit way), so
             # re-check before touching.
-            if not pre_access or cset.tags[way] == tag:
-                clock = cset.clock
-                cset.stamp[way] = clock[0]
+            slot = base + way
+            if not pre_access or self._tags[slot] == tag:
+                clock = self._clock
+                self._stamp[slot] = clock[0]
                 clock[0] += 1
                 if is_write:
-                    cset.dirty[way] = 1
+                    self._dirty[slot] = 1
                     energy.data_writes += 1
             self.last_hit = True
             self.last_probed = n_probed
@@ -422,57 +426,26 @@ class BaseSharedCachePolicy:
             memory.read_stall_cycles += queueing
             memory_latency = queueing + memory.latency
 
-        tags = cset.tags
         if self._custom_victim:
             victim_way = self._select_victim(core, set_index, fill_ways)
         else:
-            victim_way = -1
-            if fill_ways is None:
-                if NO_TAG in tags:
-                    victim_way = tags.index(NO_TAG)
-                else:
-                    stamp = cset.stamp
-                    victim_way = stamp.index(min(stamp))
-            else:
-                if NO_TAG in tags:
-                    for candidate in fill_ways:
-                        if tags[candidate] == NO_TAG:
-                            victim_way = candidate
-                            break
-                if victim_way < 0:
-                    stamp = cset.stamp
-                    best_stamp = 0
-                    for candidate in fill_ways:
-                        s = stamp[candidate]
-                        if victim_way < 0 or s < best_stamp:
-                            victim_way = candidate
-                            best_stamp = s
-                    if victim_way < 0:
-                        raise ValueError("victim() called with an empty way set")
+            victim_way = self.cache.victim(set_index, fill_ways)
 
-        # Inline fill (keep in sync with SetAssociativeCache.fill).
-        old_tag = tags[victim_way]
+        # The fill (SetAssociativeCache.fill without its result object):
+        # the install also unmaps the older copy the probe could not
+        # see, which stays in its way but is no longer the newest.
+        slot = base + victim_way
+        old_tag = self._tags[slot]
         occ = self._occ
         if old_tag != NO_TAG:
-            evicted_dirty = cset.dirty[victim_way]
-            evicted_owner = cset.owner[victim_way]
+            evicted_dirty = self._dirty[slot]
+            evicted_owner = self._owner[slot]
             if evicted_owner >= 0:
                 occ[evicted_owner] -= 1
         else:
             evicted_dirty = 0
             evicted_owner = -1
-        if copy >= 0:
-            # The copy the probe could not see stays in its way but is
-            # no longer the newest.  (The pre-access hook never installs
-            # a line, so ``copy`` is still current.)
-            mapped[copy] = NO_TAG
-        tags[victim_way] = tag
-        mapped[victim_way] = tag
-        cset.dirty[victim_way] = 1 if is_write else 0
-        cset.owner[victim_way] = core
-        clock = cset.clock
-        cset.stamp[victim_way] = clock[0]
-        clock[0] += 1
+        self.cache.install(set_index, victim_way, tag, core, is_write)
         occ[core] += 1
         energy.data_writes += 1
         if evicted_dirty:
@@ -503,8 +476,8 @@ class BaseSharedCachePolicy:
         tag = line_address >> geometry.set_shift
         probe_ways = self._probe_ways(core)
         n_probed = geometry.ways if probe_ways is None else len(probe_ways)
-        cset = self.cache.sets[set_index]
-        way = cset.find(tag, probe_ways)
+        cache = self.cache
+        way = cache.find(set_index, tag, probe_ways)
         hit = way >= 0
 
         stats = self.stats
@@ -527,10 +500,11 @@ class BaseSharedCachePolicy:
         self._pre_access(core, set_index, now, hit)
 
         if hit:
-            if cset.tags[way] == tag:
-                cset.touch(way)
+            slot = set_index * geometry.ways + way
+            if cache.tags[slot] == tag:
+                cache.touch(set_index, way)
                 if is_write:
-                    cset.mark_dirty(way)
+                    cache.dirty[slot] = 1
                     energy.fill()
             self.last_hit = True
             self.last_probed = n_probed

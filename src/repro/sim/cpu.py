@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from array import array
 
+from repro.cache.set_associative import SetAssociativeCache
 from repro.workloads.trace import Trace
 
 #: address-space offset between cores (line-address bits)
@@ -102,7 +103,7 @@ class CoreState:
         "writes",
         "warm_lines",
         "departed",
-        "l1_sets",
+        "l1",
     )
 
     #: whether the core is currently executing (scenario engine)
@@ -128,9 +129,8 @@ class CoreState:
         self.columns = columns
         #: whether the core has departed for good
         self.departed = False
-        #: the core's private L1 sets, bound by the simulator so the
-        #: inner loop reaches them in one attribute load
-        self.l1_sets: list | None = None
+        #: the core's private L1 cache, bound by the simulator
+        self.l1: SetAssociativeCache | None = None
         if trace is None:
             # An absent slot (scenario engine): never executes, but
             # keeps CoreResult/RunResult shapes uniform.

@@ -42,12 +42,12 @@ Without a governor the DVFS state is never allocated and the loop
 executes the historical arithmetic bit-for-bit (pinned by the golden
 suite).
 
-Hot-path notes.  ``run`` is written for throughput and is
-allocation-free per reference: the next core comes from a two-way
-compare (2 cores), a plain read (1 core) or a heap (3+; always a heap
-when the schedule is dynamic, since membership changes mid-run); the
-L1 lookup is inlined (a scan of the set's tags plus a stamp store on a
-hit — the hit path never enters another frame); L1 misses take one
+Hot-path notes.  ``run`` is written for throughput: the next core
+comes from a two-way compare (2 cores), a plain read (1 core) or a
+heap (3+; always a heap when the schedule is dynamic, since membership
+changes mid-run); the L1 lookup is inlined (a scan of the set's slice
+of the L1's tags plus a stamp store on a hit — the hit path never
+enters another frame); L1 misses take one
 call into :meth:`_l1_miss`, which drives the LLC policy's
 ``access_fast`` and performs the L1 fill inline.  The same
 state is reachable through :meth:`CacheHierarchy.access` for tests
@@ -205,6 +205,7 @@ class CMPSimulator:
         l1_geometry = self.hierarchy.l1[0].geometry
         self._l1_mask = l1_geometry.set_mask
         self._l1_shift = l1_geometry.set_shift
+        self._l1_ways = l1_geometry.ways
         self._miss_latency = config.l1_latency + config.l2_latency
         self._policy_access = self.policy.access_fast
         self._l1_misses = self.hierarchy.l1_misses
@@ -212,7 +213,7 @@ class CMPSimulator:
         for core in self.cores:
             l1 = self.hierarchy.l1[core.core_id]
             l1.ensure_cores(config.n_cores)
-            core.l1_sets = l1.sets
+            core.l1 = l1
         # Slots not present at cycle 0 (late arrivals and never-arriving
         # slots) start idle: the policy releases their share before the
         # run begins — under cooperative partitioning their ways are
@@ -539,6 +540,7 @@ class CMPSimulator:
 
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
+        l1_ways = self._l1_ways
         l1_latency = self.hierarchy.l1_latency
         l1_hits = self.hierarchy.l1_hits
         l1_miss = self._l1_miss
@@ -642,20 +644,21 @@ class CMPSimulator:
             # and returns to the scheduler without another frame.
             set_index = address & l1_mask
             tag = address >> l1_shift
-            cset = core.l1_sets[set_index]
-            tags = cset.tags
-            if tag in tags:
-                way = tags.index(tag)
-                recency = cset.clock
-                cset.stamp[way] = recency[0]
+            l1 = core.l1
+            base = set_index * l1_ways
+            lines = l1.tags[base:base + l1_ways]
+            if tag in lines:
+                slot = base + lines.index(tag)
+                recency = l1.clock
+                l1.stamp[slot] = recency[0]
                 recency[0] += 1
                 if is_write:
-                    cset.dirty[way] = 1
+                    l1.dirty[slot] = 1
                 l1_hits[ci] += 1
                 time = issue_time + hit_latency
             else:
                 time = issue_time + l1_miss(
-                    ci, address, is_write, issue_time, cset, set_index, tag,
+                    ci, address, is_write, issue_time, l1, set_index, tag,
                 )
             times[ci] = time
             instructions[ci] += gap + 1
@@ -771,7 +774,7 @@ class CMPSimulator:
         address: int,
         is_write: int,
         now: int,
-        cset,
+        l1: SetAssociativeCache,
         set_index: int,
         tag: int,
     ) -> int:
@@ -787,27 +790,22 @@ class CMPSimulator:
         # Fetch the line from the shared LLC (write-allocate).
         memory_latency = policy_access(core_id, address, False, now)
 
-        # Choose the L1 victim (plain LRU over the full set).
-        tags = cset.tags
-        if NO_TAG in tags:
-            victim_way = tags.index(NO_TAG)
-        else:
-            stamp = cset.stamp
-            victim_way = stamp.index(min(stamp))
-
-        # Inlined L1 fill.  Full-width L1 probes never leave a
-        # duplicate tag, so the L1 never consults ``mapped``.
-        old_tag = tags[victim_way]
+        # Inlined L1 fill of the plain-LRU victim.  Full-width L1
+        # probes never leave a duplicate tag, so the L1 never consults
+        # ``mapped``.
+        slot = set_index * self._l1_ways + l1.victim(set_index)
+        tags = l1.tags
+        old_tag = tags[slot]
         evicted_dirty = 0
         if old_tag != NO_TAG:
-            evicted_dirty = cset.dirty[victim_way]
+            evicted_dirty = l1.dirty[slot]
         else:
-            self.hierarchy.l1[core_id].core_occupancy[core_id] += 1
-        tags[victim_way] = tag
-        cset.dirty[victim_way] = 1 if is_write else 0
-        cset.owner[victim_way] = core_id
-        clock = cset.clock
-        cset.stamp[victim_way] = clock[0]
+            l1.core_occupancy[core_id] += 1
+        tags[slot] = tag
+        l1.dirty[slot] = 1 if is_write else 0
+        l1.owner[slot] = core_id
+        clock = l1.clock
+        l1.stamp[slot] = clock[0]
         clock[0] += 1
 
         if evicted_dirty:
@@ -876,19 +874,17 @@ class CMPSimulator:
         core_id = core.core_id
         times = core.columns.time
         now = times[core_id]
-        cset = core.l1_sets[address & l1_mask]
+        l1 = core.l1
+        set_index = address & l1_mask
         tag = address >> l1_shift
-        tags = cset.tags
-        if tag in tags:
-            clock = cset.clock
-            cset.stamp[tags.index(tag)] = clock[0]
-            clock[0] += 1
+        way = l1.find(set_index, tag)
+        if way >= 0:
+            l1.touch(set_index, way)
             l1_hits[core_id] += 1
             times[core_id] = now + l1_latency
         else:
             times[core_id] = now + miss(
-                core_id, address, False, now,
-                cset, address & l1_mask, tag,
+                core_id, address, False, now, l1, set_index, tag,
             )
 
     def _run_epoch(self, now: int) -> bool:

@@ -22,7 +22,7 @@ class TestLRUSelector:
         cset = _full_set([0, 0, 1, 1])
         cset.touch(0)
         selector = LRUVictimSelector()
-        assert selector.select(cset, core=0, ways=(0, 1)) == 1
+        assert selector.select(cset.cache, cset.index, core=0, ways=(0, 1)) == 1
 
 
 class TestRandomSelector:
@@ -30,18 +30,18 @@ class TestRandomSelector:
         cset = CacheSet(4)
         cset.install(0, tag=1, owner=0, dirty=False)
         selector = RandomVictimSelector(seed=1)
-        assert selector.select(cset, core=0, ways=ALL_WAYS) != 0
+        assert selector.select(cset.cache, cset.index, core=0, ways=ALL_WAYS) != 0
 
     def test_only_allowed_ways(self):
         cset = _full_set([0, 0, 1, 1])
         selector = RandomVictimSelector(seed=7)
         for _ in range(20):
-            assert selector.select(cset, core=0, ways=(2, 3)) in (2, 3)
+            assert selector.select(cset.cache, cset.index, core=0, ways=(2, 3)) in (2, 3)
 
     def test_deterministic_with_seed(self):
         cset = _full_set([0, 0, 1, 1])
-        a = [RandomVictimSelector(seed=3).select(cset, 0, ALL_WAYS) for _ in range(5)]
-        b = [RandomVictimSelector(seed=3).select(cset, 0, ALL_WAYS) for _ in range(5)]
+        a = [RandomVictimSelector(seed=3).select(cset.cache, cset.index, 0, ALL_WAYS) for _ in range(5)]
+        b = [RandomVictimSelector(seed=3).select(cset.cache, cset.index, 0, ALL_WAYS) for _ in range(5)]
         assert a == b
 
 
@@ -52,14 +52,14 @@ class TestPartitionAwareSelector:
         cset = _full_set([1, 1, 1, 0])  # core 1 holds three ways
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 2, 1: 2})
-        victim = selector.select(cset, core=0, ways=ALL_WAYS)
+        victim = selector.select(cset.cache, cset.index, core=0, ways=ALL_WAYS)
         assert cset.owner[victim] == 1
 
     def test_at_target_core_recycles_own_lru(self):
         cset = _full_set([0, 0, 1, 1])
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 2, 1: 2})
-        victim = selector.select(cset, core=0, ways=ALL_WAYS)
+        victim = selector.select(cset.cache, cset.index, core=0, ways=ALL_WAYS)
         assert cset.owner[victim] == 0
         assert victim == 0  # LRU of core 0's lines
 
@@ -68,17 +68,17 @@ class TestPartitionAwareSelector:
         cset.touch(0)  # way 0 becomes MRU; ways 1, 2 older
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 2, 1: 2})
-        assert selector.select(cset, core=0, ways=ALL_WAYS) == 1
+        assert selector.select(cset.cache, cset.index, core=0, ways=ALL_WAYS) == 1
 
     def test_invalid_way_always_first(self):
         cset = _full_set([1, 1, 1, 0])
         cset.invalidate(2)
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 3, 1: 1})
-        assert selector.select(cset, core=0, ways=ALL_WAYS) == 2
+        assert selector.select(cset.cache, cset.index, core=0, ways=ALL_WAYS) == 2
 
     def test_without_targets_falls_back_to_own_then_lru(self):
         cset = _full_set([0, 1, 1, 1])
         selector = PartitionAwareVictimSelector(4)
-        victim = selector.select(cset, core=0, ways=ALL_WAYS)
+        victim = selector.select(cset.cache, cset.index, core=0, ways=ALL_WAYS)
         assert victim == 0

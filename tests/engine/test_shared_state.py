@@ -1,18 +1,23 @@
-"""The compiled kernel shares per-core machine state with its Python
-owners for a whole run.
+"""The compiled kernel shares machine state with its Python owners for
+a whole run.
 
 ``_Marshal`` takes the address of every owner's array once, at run
-start.  A warmup reset, a phase change, an arrival or a departure that
-rebound or resized one of those arrays would leave the kernel writing
-to a stale buffer, so after a run that crosses all four every address
-must still be the owner's current array.
+start.  A warmup reset, a phase change, an arrival, a departure, a
+power-gating invalidation or a forced takeover completion that rebound
+or resized one of those arrays would leave the kernel writing to a
+stale buffer, so after a run that crosses all of them every address
+must still be the owner's current array.  And no run path builds a
+per-set :class:`~repro.cache.cache_set.CacheSet` view.
 """
 
 import ctypes
 
 import pytest
 
-from repro.engine import COMPILED, available_engines, compiled
+from repro.cache.cache_set import CacheSet
+from repro.cache.set_associative import SetAssociativeCache
+from repro.core.takeover import TakeoverEngine
+from repro.engine import COMPILED, PYTHON, available_engines, compiled
 from repro.scenarios.generate import corpus_config
 from repro.scenarios.model import (
     Scenario,
@@ -35,6 +40,28 @@ SCENARIO = Scenario(
 )
 
 
+def _simulator(policy="cooperative"):
+    config = corpus_config(2)
+    runner = ExperimentRunner()
+    return CMPSimulator.for_scenario(
+        config,
+        SCENARIO,
+        policy,
+        lambda benchmark: runner.trace_for(benchmark, config),
+        governor="coordinated",
+    )
+
+
+def _counting(monkeypatch, cls, name, counts):
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
 @pytest.mark.skipif(
     COMPILED not in available_engines(), reason="no compiled engine"
 )
@@ -47,23 +74,23 @@ def test_kernel_addresses_still_match_their_owners_after_a_run(monkeypatch):
             marshals.append(self)
 
     monkeypatch.setattr(compiled, "_Marshal", RecordingMarshal)
-    config = corpus_config(2)
-    runner = ExperimentRunner()
-    sim = CMPSimulator.for_scenario(
-        config,
-        SCENARIO,
-        "cooperative",
-        lambda benchmark: runner.trace_for(benchmark, config),
-        governor="coordinated",
-    )
+    counts = {}
+    _counting(monkeypatch, SetAssociativeCache, "invalidate_way", counts)
+    _counting(monkeypatch, TakeoverEngine, "force_complete", counts)
+    sim = _simulator()
+    config = sim.config
     result = sim.run(COMPILED)
 
     # Guard the guard: the run went through the kernel and crossed the
-    # warmup reset and every kind of schedule event.
+    # warmup reset, every kind of schedule event, power-gating
+    # invalidations and a forced takeover completion that flushed ways.
     (marshal,) = marshals
     assert sim._measuring
     labels = {label for sample in result.timeline for label in sample.events}
     assert {"arrive:core1=namd", "phase:core0=mcf", "depart:core1"} <= labels
+    assert counts["invalidate_way"] > 0
+    assert counts["force_complete"] > 0
+    assert sim.stats.transitions_forced > 0
 
     policy = sim.policy
     stats = sim.stats
@@ -92,7 +119,35 @@ def test_kernel_addresses_still_match_their_owners_after_a_run(monkeypatch):
     ctx = marshal.ctx
     for field, owner in owners.items():
         assert getattr(ctx, field) == owner.buffer_info()[0], field
-    l1_occ = (ctypes.c_int64 * config.n_cores).from_address(ctx.l1_occ)
-    assert list(l1_occ) == [
-        l1.core_occupancy.buffer_info()[0] for l1 in sim.hierarchy.l1
-    ]
+    for column in ("tags", "mapped", "stamp", "owner", "dirty", "clock"):
+        owner = getattr(sim.cache, column)
+        assert getattr(ctx, "llc_" + column) == owner.buffer_info()[0], column
+    for field, column in (
+        ("l1_tags", "tags"), ("l1_stamp", "stamp"), ("l1_owner", "owner"),
+        ("l1_dirty", "dirty"), ("l1_clock", "clock"),
+        ("l1_occ", "core_occupancy"),
+    ):
+        table = (ctypes.c_int64 * config.n_cores).from_address(
+            getattr(ctx, field)
+        )
+        assert list(table) == [
+            getattr(l1, column).buffer_info()[0] for l1 in sim.hierarchy.l1
+        ], field
+
+
+@pytest.mark.parametrize("policy", ["cooperative", "ucp"])
+@pytest.mark.parametrize("engine", [PYTHON, COMPILED])
+def test_runs_build_no_per_set_views(monkeypatch, engine, policy):
+    if engine not in available_engines():
+        pytest.skip(f"no {engine} engine")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a run path built a CacheSet")
+
+    monkeypatch.setattr(CacheSet, "__init__", refuse)
+    sim = _simulator(policy)
+    result = sim.run(engine)
+    assert sum(core.refs_done for core in sim.cores) > 0
+    assert result.timeline
+    with pytest.raises(AssertionError, match="built a CacheSet"):
+        sim.cache.sets
