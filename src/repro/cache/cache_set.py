@@ -5,15 +5,13 @@ restricted to permitted ways (RAP registers), fills are restricted to
 writable ways (WAP registers), and victim selection walks the recency
 order filtered by those same way subsets.
 
-The line state itself is one flat column per field for the whole
-cache (:mod:`repro.cache.set_associative`).  No run path builds a
-:class:`CacheSet`: it is for introspection and tests.  ``cache.sets``
-views every set of ``cache``; ``CacheSet(ways)`` alone owns a one-set
-cache.  Mutating methods write through to the cache's columns but,
-like the cache's own per-set operations, leave its occupancy counters
-alone.  The ``tags``/``mapped``/``dirty``/``owner``/``stamp``
-properties return a copy of the set's slice of each column, taken when
-they are read.
+The line state lives in the cache's flat columns
+(:mod:`repro.cache.set_associative`); no run path builds a
+:class:`CacheSet`.  ``cache.sets`` views every set of ``cache`` for
+introspection and tests, and ``CacheSet(ways)`` owns a one-set cache.
+Mutators write through to the columns and, like the cache's per-set
+operations, leave its occupancy counters alone; ``tags``, ``mapped``,
+``dirty``, ``owner`` and ``stamp`` return copies of the set's slices.
 """
 
 from __future__ import annotations
@@ -117,9 +115,11 @@ class CacheSet:
             owner=cache.owner[slot],
         )
 
+    def valid_ways(self) -> list[int]:
+        """Ways currently holding valid lines."""
+        return [way for way, tag in enumerate(self.tags) if tag != NO_TAG]
+
     def occupancy(self, core: int) -> int:
         """Number of valid lines in this set owned by ``core``."""
-        return sum(
-            1 for tag, owner in zip(self.tags, self.owner)
-            if tag != NO_TAG and owner == core
-        )
+        lines = zip(self.tags, self.owner)
+        return sum(tag != NO_TAG and owner == core for tag, owner in lines)

@@ -92,6 +92,7 @@ class TestLineState:
         assert cset.occupancy(0) == 2
         assert cset.occupancy(1) == 1
         assert cset.occupancy(2) == 0
+        assert cset.valid_ways() == [0, 1, 2]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=200))
