@@ -3,15 +3,13 @@
 This subpackage models the memory system the paper's evaluation runs
 on: cache geometry and address decomposition, a set-associative cache
 holding true-LRU recency stamps and per-line owner/dirty state in flat
-columns (with per-set views for introspection), victim-selection
-strategies, a banked DRAM model with writeback/bandwidth accounting,
-and the private-L1 / shared-L2 hierarchy from Table 2 of the paper.
+columns, victim-selection strategies, a banked DRAM model with
+writeback/bandwidth accounting, and the private-L1 / shared-L2
+hierarchy from Table 2 of the paper.
 """
 
-from repro.cache.cache_set import CacheSet
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy, HierarchyAccess
-from repro.cache.line import CacheLine
 from repro.cache.memory import MainMemory
 from repro.cache.replacement import (
     LRUVictimSelector,
@@ -25,8 +23,6 @@ __all__ = [
     "AccessResult",
     "CacheGeometry",
     "CacheHierarchy",
-    "CacheLine",
-    "CacheSet",
     "HierarchyAccess",
     "LRUVictimSelector",
     "MainMemory",

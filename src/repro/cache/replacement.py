@@ -26,8 +26,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 
-from repro.cache.cache_set import NO_TAG
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 
 
 class VictimSelector(ABC):
@@ -100,7 +99,7 @@ class PartitionAwareVictimSelector(VictimSelector):
 
     def select(self, cache: SetAssociativeCache, set_index: int, core: int,
                ways: tuple[int, ...]) -> int:
-        width = self._ways
+        width = cache.geometry.ways
         base = set_index * width
         end = base + width
         tags = cache.tags[base:end]

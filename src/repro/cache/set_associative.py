@@ -31,9 +31,9 @@ write strided slices (``tags[way::ways]``) instead of looping over sets.
 Per-core occupancy is tracked **incrementally** in ``core_occupancy``
 (every install, invalidation and ownership transfer; the simulator's
 inlined fill paths maintain the same counters), so
-:meth:`occupancy_by_core` is an O(cores) read.
-:class:`~repro.cache.cache_set.CacheSet` views one set, for
-introspection and tests.
+:meth:`occupancy_by_core` is an O(cores) read.  There are no per-set
+objects: the per-set operations (:meth:`SetAssociativeCache.find`,
+``touch``, ``victim``, ``install``) take the set index.
 """
 from __future__ import annotations
 
@@ -41,9 +41,18 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from repro.cache.cache_set import NO_TAG, NO_WAY, CacheSet
 from repro.cache.geometry import CacheGeometry
-from repro.cache.line import NO_OWNER
+
+#: Sentinel way index meaning "not found".
+NO_WAY = -1
+
+#: Sentinel tag meaning "invalid line" (real tags are non-negative).
+NO_TAG = -1
+
+#: Owner value meaning "no core owns this line".  The paper tracks the
+#: owner with "an extra two bits added to each tag entry to distinguish
+#: data belonging to each core" (Section 2.5).
+NO_OWNER = -1
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,6 @@ class SetAssociativeCache:
         if len(counters) < n_cores:
             counters.extend([0] * (n_cores - len(counters)))
         return counters
-
-    @property
-    def sets(self) -> list[CacheSet]:
-        """A fresh :class:`CacheSet` view of every set (introspection)."""
-        geometry = self.geometry
-        return [CacheSet(geometry.ways, self, s) for s in range(geometry.num_sets)]
 
     # ------------------------------------------------------------------
     # Per-set operations (``way`` is relative to its set)
@@ -264,23 +267,6 @@ class SetAssociativeCache:
             if tags[set_index] != NO_TAG
         ]
 
-    def flush_ways(self, ways: tuple[int, ...]) -> list[int]:
-        """:meth:`flush_way_in_set` for every set and each of ``ways``.
-
-        Returns the flushed line addresses set by set, and within a set
-        in the order of ``ways`` — the order the writebacks must reach
-        the memory's bank timers.
-        """
-        geometry = self.geometry
-        flushed = sorted(
-            (address & geometry.set_mask, rank, address)
-            for rank, way in enumerate(ways)
-            for address in self._dirty_lines(way)
-        )
-        for set_index, rank, _ in flushed:
-            self.dirty[set_index * geometry.ways + ways[rank]] = 0
-        return [address for _, _, address in flushed]
-
     def invalidate_way(self, way: int) -> list[int]:
         """Invalidate ``way`` across every set, returning dirty line addresses.
 
@@ -324,6 +310,12 @@ class SetAssociativeCache:
         counters = self.core_occupancy
         return [counters[core] if core < len(counters) else 0
                 for core in range(n_cores)]
+
+    def lru(self, set_index: int) -> list[int]:
+        """The ways of ``set_index``, most recently used first."""
+        width = self.geometry.ways
+        stamp = self.stamp[set_index * width:(set_index + 1) * width]
+        return sorted(range(width), key=stamp.__getitem__, reverse=True)
 
     def valid_line_count(self) -> int:
         """Number of valid lines in the cache."""

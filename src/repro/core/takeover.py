@@ -228,10 +228,8 @@ class TakeoverEngine:
         ways = self._donor_ways.get(donor, ())
         if not ways:
             return []
-        for address in self.cache.flush_ways(ways):
-            self.memory.writeback(address, now)
-            self.energy.writeback()
-            self.stats.note_transfer_flush(now)
+        for set_index in range(self._num_sets):
+            self._flush_ways_in_set(ways, set_index, now)
         self.stats.transitions_forced += len(ways)
         return self.pop_donor(donor)
 

@@ -628,16 +628,18 @@ def _scalar_ref(sim, ci, target, warmup, unfinished, warmed_up, clock,
     set_index = address & sim._l1_mask
     tag = address >> sim._l1_shift
     l1 = core.l1
-    way = l1.find(set_index, tag)
-    if way >= 0:
+    base = set_index * sim._l1_ways
+    lines = l1.tags[base:base + sim._l1_ways]
+    if tag in lines:
+        way = lines.index(tag)
         l1.touch(set_index, way)
         if is_write:
-            l1.dirty[set_index * sim._l1_ways + way] = 1
+            l1.dirty[base + way] = 1
         sim.hierarchy.l1_hits[ci] += 1
         times[ci] = issue_time + hit_latency
     else:
         times[ci] = issue_time + sim._l1_miss(
-            ci, address, is_write, issue_time, l1, set_index, tag
+            ci, address, is_write, issue_time, l1, set_index, tag, lines
         )
     columns.instructions[ci] += gap + 1
     position += 1

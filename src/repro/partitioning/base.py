@@ -27,10 +27,9 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 
-from repro.cache.cache_set import NO_TAG
 from repro.cache.hierarchy import LLCOutcome
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.energy.accounting import EnergyAccounting
 from repro.monitor.umon import UtilityMonitor
 
@@ -426,16 +425,32 @@ class BaseSharedCachePolicy:
             memory.read_stall_cycles += queueing
             memory_latency = queueing + memory.latency
 
+        tags = self._tags
+        stamp = self._stamp
         if self._custom_victim:
             victim_way = self._select_victim(core, set_index, fill_ways)
         else:
-            victim_way = self.cache.victim(set_index, fill_ways)
+            # SetAssociativeCache.victim on one slice of the set's tags.
+            lines = tags[base:base + width]
+            victim_way = -1
+            if NO_TAG in lines:
+                if fill_ways is None:
+                    victim_way = lines.index(NO_TAG)
+                else:
+                    for candidate in fill_ways:
+                        if lines[candidate] == NO_TAG:
+                            victim_way = candidate
+                            break
+            if victim_way < 0:
+                stamps = stamp[base:base + width]
+                if fill_ways is None:
+                    victim_way = stamps.index(min(stamps))
+                else:
+                    victim_way = min(fill_ways, key=stamps.__getitem__)
 
-        # The fill (SetAssociativeCache.fill without its result object):
-        # the install also unmaps the older copy the probe could not
-        # see, which stays in its way but is no longer the newest.
+        # The fill (SetAssociativeCache.fill without its result object).
         slot = base + victim_way
-        old_tag = self._tags[slot]
+        old_tag = tags[slot]
         occ = self._occ
         if old_tag != NO_TAG:
             evicted_dirty = self._dirty[slot]
@@ -445,7 +460,18 @@ class BaseSharedCachePolicy:
         else:
             evicted_dirty = 0
             evicted_owner = -1
-        self.cache.install(set_index, victim_way, tag, core, is_write)
+        if copy >= 0:
+            # The copy the probe could not see stays in its way but is
+            # no longer the newest.  (The pre-access hook never installs
+            # a line, so ``copy`` is still current.)
+            self._mapped[base + copy] = NO_TAG
+        tags[slot] = tag
+        self._mapped[slot] = tag
+        self._dirty[slot] = 1 if is_write else 0
+        self._owner[slot] = core
+        clock = self._clock
+        stamp[slot] = clock[0]
+        clock[0] += 1
         occ[core] += 1
         energy.data_writes += 1
         if evicted_dirty:

@@ -61,10 +61,9 @@ from array import array
 from heapq import heapify, heapreplace
 from typing import Callable
 
-from repro.cache.cache_set import NO_TAG
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.dvfs.governors import GovernorSpec
 from repro.dvfs.state import DvfsState
 from repro.energy.accounting import EnergyAccounting
@@ -659,6 +658,7 @@ class CMPSimulator:
             else:
                 time = issue_time + l1_miss(
                     ci, address, is_write, issue_time, l1, set_index, tag,
+                    lines,
                 )
             times[ci] = time
             instructions[ci] += gap + 1
@@ -777,11 +777,14 @@ class CMPSimulator:
         l1: SetAssociativeCache,
         set_index: int,
         tag: int,
+        lines: array,
     ) -> int:
         """L1 miss path: LLC fetch, inlined L1 fill, victim writeback.
 
-        Mirrors :meth:`CacheHierarchy.access`'s miss handling (fetch
-        before fill, write the dirty victim through the LLC after) and
+        ``lines`` is the set's slice of ``l1.tags`` the probe scanned
+        (the LLC fetch never touches the L1).  Mirrors
+        :meth:`CacheHierarchy.access`'s miss handling (fetch before
+        fill, write the dirty victim through the LLC after) and
         :meth:`SetAssociativeCache.fill`'s state updates — keep the
         three in sync.
         """
@@ -790,10 +793,16 @@ class CMPSimulator:
         # Fetch the line from the shared LLC (write-allocate).
         memory_latency = policy_access(core_id, address, False, now)
 
-        # Inlined L1 fill of the plain-LRU victim.  Full-width L1
+        # Inlined plain-LRU victim choice and L1 fill.  Full-width L1
         # probes never leave a duplicate tag, so the L1 never consults
         # ``mapped``.
-        slot = set_index * self._l1_ways + l1.victim(set_index)
+        base = set_index * self._l1_ways
+        stamp = l1.stamp
+        if NO_TAG in lines:
+            slot = base + lines.index(NO_TAG)
+        else:
+            stamps = stamp[base:base + self._l1_ways]
+            slot = base + stamps.index(min(stamps))
         tags = l1.tags
         old_tag = tags[slot]
         evicted_dirty = 0
@@ -805,7 +814,7 @@ class CMPSimulator:
         l1.dirty[slot] = 1 if is_write else 0
         l1.owner[slot] = core_id
         clock = l1.clock
-        l1.stamp[slot] = clock[0]
+        stamp[slot] = clock[0]
         clock[0] += 1
 
         if evicted_dirty:
@@ -877,14 +886,15 @@ class CMPSimulator:
         l1 = core.l1
         set_index = address & l1_mask
         tag = address >> l1_shift
-        way = l1.find(set_index, tag)
-        if way >= 0:
-            l1.touch(set_index, way)
+        base = set_index * l1.geometry.ways
+        lines = l1.tags[base:base + l1.geometry.ways]
+        if tag in lines:
+            l1.touch(set_index, lines.index(tag))
             l1_hits[core_id] += 1
             times[core_id] = now + l1_latency
         else:
             times[core_id] = now + miss(
-                core_id, address, False, now, l1, set_index, tag,
+                core_id, address, False, now, l1, set_index, tag, lines,
             )
 
     def _run_epoch(self, now: int) -> bool:

@@ -79,17 +79,6 @@ class Oracle:
     def address(self, index, tag):
         return tag * SETS + index
 
-    def flush_ways(self, ways):
-        flushed = []
-        for index in range(SETS):
-            lines = self.sets[index]["lines"]
-            for way in ways:
-                line = lines[way]
-                if line is not None and line["dirty"]:
-                    line["dirty"] = False
-                    flushed.append(self.address(index, line["tag"]))
-        return flushed
-
     def invalidate_way(self, way):
         flushed = []
         for index in range(SETS):
@@ -152,10 +141,6 @@ _OPS = st.lists(
         st.tuples(st.just("fill"), _SET, _TAG, _CORE, st.booleans(), _WAY),
         st.tuples(st.just("invalidate_way"), _WAY),
         st.tuples(st.just("flush_way_in_set"), _SET, _WAY),
-        st.tuples(
-            st.just("flush_ways"),
-            st.lists(_WAY, min_size=1, max_size=WAYS, unique=True).map(tuple),
-        ),
         st.tuples(st.just("transfer_ownership"), _SET, _WAY, st.integers(-1, CORES - 1)),
     ),
     max_size=80,
@@ -213,9 +198,6 @@ def test_flat_cache_matches_the_reference_oracle(ops):
                 line["dirty"] = False
                 expected = oracle.address(index, line["tag"])
             assert cache.flush_way_in_set(index, way) == expected
-        elif op == "flush_ways":
-            (ways,) = args
-            assert cache.flush_ways(ways) == oracle.flush_ways(ways)
         else:
             index, way, owner = args
             cache.transfer_ownership(index, way, owner)

@@ -210,7 +210,7 @@ DUPLICATE_COPIES = [
 
 def _run_keeping_llc(name, policy, engine):
     """One corpus cell on ``engine``; its serialized result and the
-    simulator's LLC sets."""
+    simulator's LLC."""
     entry = corpus_scenario(name)
     config = corpus_config(entry.n_cores)
     runner = ExperimentRunner()
@@ -221,23 +221,21 @@ def _run_keeping_llc(name, policy, engine):
         lambda benchmark: runner.trace_for(benchmark, config),
         collect_timeline=True,
     )
-    return run_result_to_dict(sim.run(engine)), sim.cache.sets
+    return run_result_to_dict(sim.run(engine)), sim.cache
 
 
 @pytest.mark.skipif(not _COMPILED_AVAILABLE, reason="no compiled engine")
 @pytest.mark.parametrize("name,policy", DUPLICATE_COPIES)
 def test_stale_duplicates_agree_across_engines(name, policy):
-    expected, python_sets = _run_keeping_llc(name, policy, PYTHON)
-    actual, compiled_sets = _run_keeping_llc(name, policy, COMPILED)
+    expected, mine = _run_keeping_llc(name, policy, PYTHON)
+    actual, theirs = _run_keeping_llc(name, policy, COMPILED)
     mismatches = diff_payloads(expected, actual)
     assert not mismatches, "\n  ".join(mismatches[:20])
-    stale = 0
-    for mine, theirs in zip(python_sets, compiled_sets):
-        for column in ("tags", "mapped", "stamp", "owner", "dirty"):
-            assert getattr(mine, column) == getattr(theirs, column), column
-        stale += sum(
-            1 for way in range(mine.ways)
-            if mine.tags[way] != -1 and mine.mapped[way] != mine.tags[way]
-        )
+    for column in ("tags", "mapped", "stamp", "owner", "dirty"):
+        assert getattr(mine, column) == getattr(theirs, column), column
+    stale = sum(
+        1 for tag, mapped in zip(mine.tags, mine.mapped)
+        if tag != -1 and mapped != tag
+    )
     # Guard the guard: the run really left stale copies behind.
     assert stale, f"{name}/{policy}: no stale duplicate copy at run end"

@@ -6,18 +6,16 @@ start.  A warmup reset, a phase change, an arrival, a departure, a
 power-gating invalidation or a forced takeover completion that rebound
 or resized one of those arrays would leave the kernel writing to a
 stale buffer, so after a run that crosses all of them every address
-must still be the owner's current array.  And no run path builds a
-per-set :class:`~repro.cache.cache_set.CacheSet` view.
+must still be the owner's current array.
 """
 
 import ctypes
 
 import pytest
 
-from repro.cache.cache_set import CacheSet
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.takeover import TakeoverEngine
-from repro.engine import COMPILED, PYTHON, available_engines, compiled
+from repro.engine import COMPILED, available_engines, compiled
 from repro.scenarios.generate import corpus_config
 from repro.scenarios.model import (
     Scenario,
@@ -133,21 +131,3 @@ def test_kernel_addresses_still_match_their_owners_after_a_run(monkeypatch):
         assert list(table) == [
             getattr(l1, column).buffer_info()[0] for l1 in sim.hierarchy.l1
         ], field
-
-
-@pytest.mark.parametrize("policy", ["cooperative", "ucp"])
-@pytest.mark.parametrize("engine", [PYTHON, COMPILED])
-def test_runs_build_no_per_set_views(monkeypatch, engine, policy):
-    if engine not in available_engines():
-        pytest.skip(f"no {engine} engine")
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a run path built a CacheSet")
-
-    monkeypatch.setattr(CacheSet, "__init__", refuse)
-    sim = _simulator(policy)
-    result = sim.run(engine)
-    assert sum(core.refs_done for core in sim.cores) > 0
-    assert result.timeline
-    with pytest.raises(AssertionError, match="built a CacheSet"):
-        sim.cache.sets
